@@ -7,10 +7,6 @@ from .costs import (
     TanhQuadratic,
     WeightDecayWrapped,
     as_params,
-    make_quadratic,
-    make_single_neuron,
-    make_tanh_quadratic,
-    wrap_weight_decay,
 )
 from .data import Dataset, SynthSpec, load_cifar10_binary, subsample, synth_dataset
 from .errors import (
@@ -36,7 +32,7 @@ from .metrics import (
     verify_identity,
     weighted_dir_integral,
 )
-from .mlp import MLPCost, make_mlp
+from .mlp import MLPCost
 from .optimizer import (
     MetricFlags,
     OptimizerConfig,

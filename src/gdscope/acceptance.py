@@ -51,7 +51,7 @@ ETA_UNSTABLE = 2 / 2
 
 
 def _diag402():
-    return C.make_quadratic(np.diag([40.0, 2.0]))
+    return C.Quadratic(np.diag([40.0, 2.0]))
 
 
 def quadratic_stability_boundary() -> CriterionResult:
@@ -85,23 +85,23 @@ def _identity_pool(rng):
         lams = rng.uniform(0.2, 50.0, n)
         Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
         P = Qm @ np.diag(lams) @ Qm.T
-        cost = C.make_quadratic(0.5 * (P + P.T), rng.standard_normal(n) * 0.3)
+        cost = C.Quadratic(0.5 * (P + P.T), rng.standard_normal(n) * 0.3)
         pool.append((cost, rng.standard_normal(n), float(rng.uniform(0.01, 0.1)), True))
     for _ in range(30):  # flattened quadratics, sampled in the non-saturated band
         n = int(rng.integers(2, 7))
         diag = rng.uniform(0.5, 30.0, n)
-        cost = C.make_tanh_quadratic(np.diag(diag))
+        cost = C.TanhQuadratic(np.diag(diag))
         direction = rng.standard_normal(n)
         u_target = rng.uniform(0.1, 1.2)
         theta = direction * np.sqrt(2.0 * u_target / float(direction @ (diag * direction)))
         pool.append((cost, theta, float(rng.uniform(0.005, 0.05)), False))
     for _ in range(15):  # single-neuron tanh nets
-        cost = C.make_single_neuron("tanh")
+        cost = C.SingleNeuron("tanh")
         theta = np.array([rng.uniform(0.5, 3.0), rng.uniform(0.2, 1.0)])
         pool.append((cost, theta, float(rng.uniform(0.005, 0.05)), False))
     ds = D.synth_dataset(D.SynthSpec(n=32, d=4, classes=2, cluster_spread=0.6, seed=5))
     for k in range(15):  # small tanh classifiers
-        cost = NN.make_mlp(ds, hidden_sizes=(8,), activation="tanh")
+        cost = NN.MLPCost(ds, hidden_sizes=(8,), activation="tanh")
         pool.append((cost, cost.init_params(k), float(rng.uniform(0.02, 0.2)), False))
     for cost, theta, eta, _ in pool:
         gnorm = float(np.linalg.norm(cost.gradient(theta)))
@@ -148,24 +148,29 @@ def edge_oscillation() -> CriterionResult:
 
 
 def flattened_quadratic_bounded() -> CriterionResult:
-    """tanh-flattened quadratic at a diverging step size stays bounded."""
-    cost = C.make_tanh_quadratic(np.diag([40.0, 2.0]))
-    traj = O.gd_run(cost, [1.0, 1.0], O.OptimizerConfig(eta=2 / 39, max_iter=10_000),
+    """tanh-flattened quadratic at a diverging step size stays bounded for every step.
+
+    From (1, 1) tanh(21) rounds to 1.0 and the gradient is exactly 0: no step is taken."""
+    steps = 10_000
+    cost = C.TanhQuadratic(np.diag([40.0, 2.0]))
+    traj = O.gd_run(cost, [0.1, 0.1], O.OptimizerConfig(eta=2 / 39, max_iter=steps),
                     O.MetricFlags(rp=False, dir=False), record_iterates=True)
+    taken = traj.samples[-1].iteration
     max_norm = max(float(np.linalg.norm(th)) for th in traj.iterates)
-    ok = traj.outcome != O.OUTCOME_DIVERGED and np.isfinite(max_norm) and max_norm < 10.0
+    ok = (traj.outcome == O.OUTCOME_BUDGET and taken == steps
+          and np.isfinite(max_norm) and max_norm < 10.0)
     return _result("flattened-quadratic-bounded",
-                   f"outcome={traj.outcome} max_norm={max_norm:.4f} over 1e4 steps",
-                   "no divergence, max ||theta|| < 10", ok)
+                   f"outcome={traj.outcome} steps={taken} max_norm={max_norm:.4f}",
+                   f"budget_exhausted after {steps} steps, max ||theta|| < 10", ok)
 
 
 def single_neuron_dichotomy() -> CriterionResult:
     """Linear net blows up; tanh net settles at curvature ~= 2/eta."""
     eta = 2 / 150
     flags = O.MetricFlags(rp=False, dir=False)
-    lin = O.gd_run(C.make_single_neuron("linear"), [13.0, 0.01],
+    lin = O.gd_run(C.SingleNeuron("linear"), [13.0, 0.01],
                    O.OptimizerConfig(eta=eta, max_iter=20_000, metric_cadence=100), flags)
-    tanh_cost = C.make_single_neuron("tanh")
+    tanh_cost = C.SingleNeuron("tanh")
     tnh = O.gd_run(tanh_cost, [13.0, 0.01],
                    O.OptimizerConfig(eta=eta, max_iter=60_000, metric_cadence=100), flags)
     sharp = M.sharpness(tanh_cost, tnh.final_theta, tol=1e-8)
@@ -179,7 +184,7 @@ def single_neuron_dichotomy() -> CriterionResult:
 
 
 def _classifier():
-    return NN.make_mlp(D.synth_dataset(BLOBS), hidden_sizes=MLP_HIDDEN, activation="tanh")
+    return NN.MLPCost(D.synth_dataset(BLOBS), hidden_sizes=MLP_HIDDEN, activation="tanh")
 
 
 def regime_signatures():
@@ -240,9 +245,9 @@ def homogeneous_block_gradient() -> CriterionResult:
     """Scale-invariant first layer: data-fit gradient orthogonal to the block,
     and with weight decay the block gradient never drops below 2*gamma*||zeta||."""
     ds = D.synth_dataset(D.SynthSpec(n=256, d=8, classes=4, cluster_spread=0.9, seed=11))
-    net = NN.make_mlp(ds, hidden_sizes=(16, 16), activation="relu", normalize_first=True)
+    net = NN.MLPCost(ds, hidden_sizes=(16, 16), activation="relu", normalize_first=True)
     gamma = 0.01
-    wrapped = C.wrap_weight_decay(net, gamma)
+    wrapped = C.WeightDecayWrapped(net, gamma)
     zeta_idx = net.homogeneous_indices
     worst_ratio = 0.0
     decay_ok = True
@@ -266,7 +271,7 @@ def sgd_expected_rp() -> CriterionResult:
     """Stochastic rp: minibatch LHS/RHS agree on the relu net; closed form holds
     on the noise-injected isotropic quadratic."""
     ds = D.synth_dataset(BLOBS)
-    net = NN.make_mlp(ds, hidden_sizes=MLP_HIDDEN, activation="relu")
+    net = NN.MLPCost(ds, hidden_sizes=MLP_HIDDEN, activation="relu")
     theta0 = net.init_params(MLP_INIT_SEED)
     worst_gap = 0.0
     checkpoints = 0
@@ -282,7 +287,7 @@ def sgd_expected_rp() -> CriterionResult:
             checkpoints += 1
 
     dim, lam, sigma, eta_q = 10, 3.0, 0.5, 0.1
-    quad = C.make_quadratic(lam * np.eye(dim))
+    quad = C.Quadratic(lam * np.eye(dim))
     theta_q = np.random.default_rng(42).standard_normal(dim)
     gnorm2 = float(quad.gradient(theta_q) @ quad.gradient(theta_q))
     closed = -1.0 + (eta_q * lam / 2.0) * (1.0 + sigma**2 * dim / gnorm2)
@@ -309,7 +314,7 @@ def sharpness_estimator() -> CriterionResult:
         P = Qm @ np.diag(lams) @ Qm.T
         P = 0.5 * (P + P.T)
         dense = T.jacobi_spectrum(P).lambda_max
-        est = M.sharpness(C.make_quadratic(P), np.zeros(n), tol=1e-10,
+        est = M.sharpness(C.Quadratic(P), np.zeros(n), tol=1e-10,
                           max_iter=100_000, seed=k)
         worst = max(worst, abs(est - dense) / abs(dense))
     ok = worst <= 1e-6
@@ -319,7 +324,7 @@ def sharpness_estimator() -> CriterionResult:
 
 def escape_experiment_criterion() -> CriterionResult:
     """All perturbed starts leave the sharp stationary point yet stay bounded."""
-    cost = C.make_tanh_quadratic(np.diag([40.0, 2.0]))
+    cost = C.TanhQuadratic(np.diag([40.0, 2.0]))
     origin_sharp = M.sharpness(cost, [0.0, 0.0], tol=1e-8)
     res = O.escape_experiment(cost, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 39,
                               iters=600, trials=100, seed=3)
@@ -339,8 +344,9 @@ def check_all(corrupt_quadrature: bool = False) -> List[CriterionResult]:
     def run(fn, *args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
-        out.runtime_s = round(time.perf_counter() - t0, 3)
-        results.append(out)
+        result = out[0] if isinstance(out, tuple) else out
+        result.runtime_s = round(time.perf_counter() - t0, 3)
+        results.append(result)
         return out
 
     run(quadratic_stability_boundary)
@@ -348,17 +354,8 @@ def check_all(corrupt_quadrature: bool = False) -> List[CriterionResult]:
     run(edge_oscillation)
     run(flattened_quadratic_bounded)
     run(single_neuron_dichotomy)
-
-    t0 = time.perf_counter()
-    regime_result, (cost, unstable) = regime_signatures()
-    regime_result.runtime_s = round(time.perf_counter() - t0, 3)
-    results.append(regime_result)
-
-    t0 = time.perf_counter()
-    seg = segment_sharpness_bound(cost, unstable)
-    seg.runtime_s = round(time.perf_counter() - t0, 3)
-    results.append(seg)
-
+    _, (cost, unstable) = run(regime_signatures)
+    run(segment_sharpness_bound, cost, unstable)
     run(homogeneous_block_gradient)
     run(sgd_expected_rp)
     run(sharpness_estimator)

@@ -38,7 +38,7 @@ def _print_summary(summary: X.RunSummary) -> None:
 def _cmd_run(args) -> int:
     spec = X.resolve_spec(args.spec)
     if len(spec.etas) > 1:
-        summaries = X.sweep_spec(spec, spec.etas, args.outdir, args.workers)
+        summaries = X.sweep_spec(spec, spec.etas, args.outdir)
     else:
         summaries = [X.run_spec(spec, args.outdir)]
     for s in summaries:
@@ -51,7 +51,7 @@ def _cmd_sweep(args) -> int:
     etas = [X.parse_number(e, where="--eta") for e in args.eta or []]
     if not etas:
         raise ConfigError("sweep needs at least one --eta value")
-    summaries = X.sweep_spec(spec, etas, args.outdir, args.workers)
+    summaries = X.sweep_spec(spec, etas, args.outdir)
     print(f"{'eta':>12}  {'outcome':>20}  {'regime':>10}  {'final_loss':>12}")
     for s in summaries:
         print(f"{s.eta:>12.6g}  {s.label:>20}  {s.regime or '-':>10}  {s.final_loss:>12.6g}")
@@ -89,14 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a config file or preset by name")
     p_run.add_argument("spec", help="path to a config file, or a preset name")
     p_run.add_argument("--outdir", default=default_outdir)
-    p_run.add_argument("--workers", type=int, default=4)
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a spec across a list of step sizes")
     p_sweep.add_argument("spec")
     p_sweep.add_argument("--eta", nargs="+", help="step sizes; fractions like 2/39 accepted")
     p_sweep.add_argument("--outdir", default=default_outdir)
-    p_sweep.add_argument("--workers", type=int, default=4)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="run every acceptance criterion")

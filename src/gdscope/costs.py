@@ -1,9 +1,9 @@
 """Cost function zoo: every landscape the toolkit optimizes and measures.
 
-All costs share one contract: ``value``, ``gradient``, and ``hvp`` taking a
-flat float64 parameter vector whose dimension is fixed at construction and
-checked on every evaluation. Gradients are analytic (closed form here,
-reverse-mode backprop for the MLP); Hessian-vector products are analytic for
+All costs share one contract: ``value``, ``gradient``, ``value_and_gradient``
+and ``hvp``, on a flat float64 parameter vector whose dimension is fixed at
+construction and checked on every evaluation. Gradients are analytic (closed
+form here, backprop for the MLP); Hessian-vector products are analytic for
 quadratics and a central finite difference of gradients everywhere else.
 """
 
@@ -41,7 +41,8 @@ class CostFunction:
     """Shared evaluation contract for every cost kind.
 
     Subclasses set ``kind``, ``dimension`` and implement ``value`` and
-    ``gradient``; ``hvp`` defaults to a central finite difference of
+    ``gradient``. ``value_and_gradient`` returns exactly their pair, by default
+    by calling both; ``hvp`` defaults to a central finite difference of
     gradients with step cbrt(machine eps) * (1 + ||theta||).
     """
 
@@ -56,6 +57,9 @@ class CostFunction:
 
     def gradient(self, theta) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_gradient(self, theta):
+        return self.value(theta), self.gradient(theta)
 
     def hvp(self, theta, v) -> np.ndarray:
         theta = self.check(theta)
@@ -106,7 +110,7 @@ class Quadratic(CostFunction):
             q = np.zeros(self.dimension)
         self.q = as_params(q, self.dimension)
         self.r = float(r)
-        # immutable after construction: safe to share across parallel evaluators
+        # immutable after construction, so every holder of the cost sees the same P and q
         self.P.setflags(write=False)
         self.q.setflags(write=False)
 
@@ -147,9 +151,11 @@ class TanhQuadratic(CostFunction):
         return math.tanh(self.inner.value(theta))
 
     def gradient(self, theta) -> np.ndarray:
-        u = self.inner.value(theta)
-        sech2 = 1.0 - math.tanh(u) ** 2
-        return sech2 * self.inner.gradient(theta)
+        return self.value_and_gradient(theta)[1]
+
+    def value_and_gradient(self, theta):
+        t = math.tanh(self.inner.value(theta))
+        return t, (1.0 - t**2) * self.inner.gradient(theta)
 
 
 class SingleNeuron(CostFunction):
@@ -214,6 +220,12 @@ class WeightDecayWrapped(CostFunction):
         theta = self.check(theta)
         return self.inner.gradient(theta) + 2.0 * self.gamma * theta
 
+    def value_and_gradient(self, theta):
+        theta = self.check(theta)
+        v, g = self.inner.value_and_gradient(theta)
+        return (_finite_or_inf(v + self.gamma * float(theta @ theta)),
+                g + 2.0 * self.gamma * theta)
+
     def hvp(self, theta, v) -> np.ndarray:
         v = as_params(v, self.dimension)
         return self.inner.hvp(theta, v) + 2.0 * self.gamma * v
@@ -226,18 +238,3 @@ class WeightDecayWrapped(CostFunction):
         theta = self.check(theta)
         return self.inner.stochastic_gradient(theta, batch) + 2.0 * self.gamma * theta
 
-
-def make_quadratic(P, q=None, r=0.0) -> Quadratic:
-    return Quadratic(P, q, r)
-
-
-def make_tanh_quadratic(P, q=None, r=0.0) -> TanhQuadratic:
-    return TanhQuadratic(P, q, r)
-
-
-def make_single_neuron(activation: str) -> SingleNeuron:
-    return SingleNeuron(activation)
-
-
-def wrap_weight_decay(cost: CostFunction, gamma: float, homogeneous_indices=None) -> WeightDecayWrapped:
-    return WeightDecayWrapped(cost, gamma, homogeneous_indices)

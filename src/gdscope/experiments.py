@@ -25,7 +25,7 @@ from . import data as D
 from . import metrics as M
 from . import mlp as NN
 from . import optimizer as O
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 
 CSV_HEADER = "iter,loss,grad_norm,rp,dir,sharpness,identity_residual,tau_dir_mean,tau_dir_std"
 
@@ -42,6 +42,17 @@ def parse_number(text: str, *, where: str) -> float:
         return float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
+
+
+def parse_int(text: str, *, where: str, minimum: Optional[int] = None) -> int:
+    """Integers, with an optional lower bound; errors name the field."""
+    try:
+        value = int(text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot parse integer {text.strip()!r}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_list(text: str, where: str) -> List[float]:
@@ -122,21 +133,12 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
         raise ConfigError(f"optimizer.algorithm: expected gd or sgd, got {algorithm!r}")
 
     opt_kwargs = {}
-    for key, caster in (
-        ("max_iter", int),
-        ("metric_cadence", int),
-        ("seed", int),
-        ("batch_size", int),
-        ("stop_accuracy", None),
-        ("blowup_threshold", None),
-    ):
+    for key, minimum in (("max_iter", 1), ("metric_cadence", 1), ("seed", 0), ("batch_size", 1)):
         if key in opt:
-            raw = opt.pop(key)
-            where = f"optimizer.{key}"
-            try:
-                opt_kwargs[key] = caster(raw) if caster else parse_number(raw, where=where)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: cannot parse {raw!r}") from exc
+            opt_kwargs[key] = parse_int(opt.pop(key), where=f"optimizer.{key}", minimum=minimum)
+    for key in ("stop_accuracy", "blowup_threshold"):
+        if key in opt:
+            opt_kwargs[key] = parse_number(opt.pop(key), where=f"optimizer.{key}")
     if opt:
         raise ConfigError(f"optimizer: unknown keys {sorted(opt)}")
     if algorithm == "sgd" and "batch_size" not in opt_kwargs:
@@ -148,9 +150,11 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
         if key in met:
             flag_kwargs[key] = _parse_bool(met.pop(key), f"metrics.{key}")
     if "expected_rp_batches" in met:
-        flag_kwargs["expected_rp_batches"] = int(met.pop("expected_rp_batches"))
+        flag_kwargs["expected_rp_batches"] = parse_int(
+            met.pop("expected_rp_batches"), where="metrics.expected_rp_batches", minimum=1)
     if "tau_points" in met:
-        flag_kwargs["grid"] = M.QuadratureGrid.default(int(met.pop("tau_points")))
+        flag_kwargs["grid"] = M.QuadratureGrid.default(
+            parse_int(met.pop("tau_points"), where="metrics.tau_points", minimum=1))
     if met:
         raise ConfigError(f"metrics: unknown keys {sorted(met)}")
     flags = O.MetricFlags(**flag_kwargs)
@@ -176,22 +180,23 @@ def _build_dataset(spec: ExperimentSpec) -> D.Dataset:
     if source == "synthetic":
         try:
             synth = D.SynthSpec(
-                n=int(sec.get("n", 512)),
-                d=int(sec.get("d", 16)),
-                classes=int(sec.get("classes", 4)),
+                n=parse_int(sec.get("n", "512"), where="dataset.n"),
+                d=parse_int(sec.get("d", "16"), where="dataset.d"),
+                classes=parse_int(sec.get("classes", "4"), where="dataset.classes"),
                 cluster_spread=parse_number(sec.get("spread", "0.35"), where="dataset.spread"),
-                seed=int(sec.get("seed", 0)),
+                seed=parse_int(sec.get("seed", "0"), where="dataset.seed", minimum=0),
             )
-        except ValueError as exc:
+        except ContractViolation as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         return D.synth_dataset(synth)
     if source == "cifar10":
+        n_take = parse_int(sec.get("n_take", "5000"), where="dataset.n_take", minimum=1)
         path = sec.get("path", "").strip()
         if not path:
             raise ConfigError("dataset.path: required for source=cifar10")
         if not Path(path).exists():
             raise ConfigError(f"dataset.path: {path} does not exist")
-        return D.load_cifar10_binary(path, int(sec.get("n_take", 5000)))
+        return D.load_cifar10_binary(path, n_take)
     raise ConfigError(f"dataset.source: unknown source {source!r}")
 
 
@@ -210,13 +215,13 @@ def build_cost(spec: ExperimentSpec):
         if "q" in sec:
             q = np.array(_parse_list(sec.pop("q"), "cost.q"))
         r = parse_number(sec.pop("r", "0"), where="cost.r")
-        cost = C.make_quadratic(P, q, r) if kind == "quadratic" else C.make_tanh_quadratic(P, q, r)
+        cost = C.Quadratic(P, q, r) if kind == "quadratic" else C.TanhQuadratic(P, q, r)
     elif kind in ("single_neuron_linear", "single_neuron_tanh"):
-        cost = C.make_single_neuron(kind.rsplit("_", 1)[-1])
+        cost = C.SingleNeuron(kind.rsplit("_", 1)[-1])
     elif kind == "mlp":
         dataset = _build_dataset(spec)
         hidden = [int(h) for h in _parse_list(sec.pop("hidden", "32, 32"), "cost.hidden")]
-        cost = NN.make_mlp(
+        cost = NN.MLPCost(
             dataset,
             hidden_sizes=hidden,
             activation=sec.pop("activation", "tanh").strip().lower(),
@@ -229,7 +234,7 @@ def build_cost(spec: ExperimentSpec):
         raise ConfigError(f"cost: unknown keys {sorted(sec)}")
 
     if gamma > 0:
-        cost = C.wrap_weight_decay(cost, gamma)
+        cost = C.WeightDecayWrapped(cost, gamma)
 
     init = dict(spec.init)
     if "theta0" in init:
@@ -240,7 +245,7 @@ def build_cost(spec: ExperimentSpec):
             )
     elif kind == "mlp":
         inner = cost.inner if isinstance(cost, C.WeightDecayWrapped) else cost
-        theta0 = inner.init_params(int(init.get("seed", 0)))
+        theta0 = inner.init_params(parse_int(init.get("seed", "0"), where="init.seed", minimum=0))
     else:
         raise ConfigError("init.theta0: required for closed-form costs")
     return cost, theta0
@@ -345,20 +350,11 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
     return summary
 
 
-def sweep_spec(spec: ExperimentSpec, etas: List[float], outdir=".",
-               max_workers: int = 4) -> List[RunSummary]:
-    """Fan one spec out over a step-size list; results ordered like the input."""
-    from concurrent.futures import ThreadPoolExecutor
-
+def sweep_spec(spec: ExperimentSpec, etas: List[float], outdir=".") -> List[RunSummary]:
+    """Run one spec at each step size in turn; results ordered like the input."""
     if not etas:
         raise ConfigError("sweep needs a nonempty eta list")
-    suffixes = [f".eta{i}" for i in range(len(etas))]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(run_spec, spec, outdir, eta, suffix)
-            for eta, suffix in zip(etas, suffixes)
-        ]
-        return [f.result() for f in futures]
+    return [run_spec(spec, outdir, eta, f".eta{i}") for i, eta in enumerate(etas)]
 
 
 # --- presets ------------------------------------------------------------------

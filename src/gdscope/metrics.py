@@ -44,7 +44,7 @@ def grad_floor(loss: float) -> float:
     return GRAD_FLOOR_COEFF * (1.0 + abs(loss))
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricSample:
     """One instrumented iterate. Fields are None exactly when undefined."""
 
@@ -87,8 +87,7 @@ class IdentityCheck(NamedTuple):
 
 def _gradient_above_floor(cost, theta):
     theta = as_params(theta, cost.dimension)
-    loss = cost.value(theta)
-    g = cost.gradient(theta)
+    loss, g = cost.value_and_gradient(theta)
     gnorm = float(np.linalg.norm(g))
     if gnorm < grad_floor(loss):
         raise NearStationaryError(
@@ -167,9 +166,15 @@ def weighted_dir_integral(cost: CostFunction, theta, eta: float,
 def verify_identity(cost: CostFunction, theta, eta: float,
                     grid: QuadratureGrid | None = None,
                     include_zero_node: bool = True) -> IdentityCheck:
-    """Compare rp against -1 + (eta/2) * weighted dir integral."""
-    lhs = relative_progress(cost, theta, eta)
-    rhs = -1.0 + 0.5 * eta * weighted_dir_integral(cost, theta, eta, grid, include_zero_node)
+    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once."""
+    if eta <= 0:
+        raise ContractViolation("eta must be positive")
+    if grid is None:
+        grid = QuadratureGrid.default()
+    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
+    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
+    dirs = _dir_along(cost, theta, g, g, eta, grid.taus)
+    rhs = -1.0 + 0.5 * eta * _weighted_integral(grid.taus, dirs, include_zero_node)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 

@@ -71,6 +71,7 @@ class MLPCost(CostFunction):
 
         self._onehot = np.zeros((dataset.n, dataset.num_classes))
         self._onehot[np.arange(dataset.n), dataset.labels] = 1.0
+        self._all_rows = np.arange(dataset.n)
 
     # --- parameter packing -------------------------------------------------
 
@@ -134,11 +135,14 @@ class MLPCost(CostFunction):
         return float(np.mean(lse - picked))
 
     def value(self, theta) -> float:
-        logits, _ = self._forward(theta, np.arange(self.dataset.n))
-        return _finite_or_inf(self._loss_from_logits(logits, np.arange(self.dataset.n)))
+        logits, _ = self._forward(theta, self._all_rows)
+        return _finite_or_inf(self._loss_from_logits(logits, self._all_rows))
 
     def gradient(self, theta) -> np.ndarray:
-        return self.stochastic_gradient(theta, np.arange(self.dataset.n))
+        return self._backprop(theta, self._all_rows)[1]
+
+    def value_and_gradient(self, theta):
+        return self._backprop(theta, self._all_rows, with_loss=True)
 
     def stochastic_gradient(self, theta, batch) -> np.ndarray:
         idx = np.asarray(batch, dtype=np.intp)
@@ -149,7 +153,12 @@ class MLPCost(CostFunction):
                 f"batch indices must lie in [0, {self.dataset.n}), got "
                 f"[{int(idx.min())}, {int(idx.max())}]"
             )
+        return self._backprop(theta, idx)[1]
+
+    def _backprop(self, theta, idx, with_loss=False):
+        """(value over the rows idx, or None without with_loss; gradient) from one forward pass."""
         logits, cache = self._forward(theta, idx)
+        loss = _finite_or_inf(self._loss_from_logits(logits, idx)) if with_loss else None
 
         m = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - m)
@@ -178,11 +187,11 @@ class MLPCost(CostFunction):
         for dW, db in grads:
             flat.append(dW.ravel())
             flat.append(db)
-        return np.concatenate(flat)
+        return loss, np.concatenate(flat)
 
     def logits(self, theta, idx=None) -> np.ndarray:
         if idx is None:
-            idx = np.arange(self.dataset.n)
+            idx = self._all_rows
         out, _ = self._forward(theta, np.asarray(idx, dtype=np.intp))
         return out
 
@@ -192,7 +201,3 @@ class MLPCost(CostFunction):
         pred = np.argmax(logits, axis=1)
         return float(np.mean(pred == self.dataset.labels))
 
-
-def make_mlp(dataset, hidden_sizes=(32, 32), activation="tanh",
-             normalize_first=False, normalize_eps=0.0) -> MLPCost:
-    return MLPCost(dataset, hidden_sizes, activation, normalize_first, normalize_eps)

@@ -10,14 +10,14 @@ identical inputs, trajectories are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import metrics as M
 from .costs import CostFunction, as_params
-from .errors import ContractViolation
+from .errors import ContractViolation, ZeroDirectionError
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_BUDGET = "budget_exhausted"
@@ -76,70 +76,89 @@ class Trajectory:
     final_theta: np.ndarray
     outcome: str
     iterates: Optional[list] = None  # populated when the caller asks to record them
-    detail: dict = field(default_factory=dict)
 
     @property
     def final_loss(self) -> float:
         return self.samples[-1].loss if self.samples else math.nan
 
 
+def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
+    """The outcome a stop rule gives at this iterate, or None to keep stepping."""
+    if not (math.isfinite(loss) and math.isfinite(gnorm)) or loss >= config.blowup_threshold:
+        return OUTCOME_DIVERGED
+    if gnorm <= M.grad_floor(loss) or (
+            check_accuracy and config.stop_accuracy is not None and hasattr(cost, "accuracy")
+            and cost.accuracy(theta) >= config.stop_accuracy):
+        return OUTCOME_CONVERGED
+    return None
+
+
 def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
+    """The sample at iterate t, and the step whose rp/dir wait on the next iterate (or None)."""
     sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
-    if defined:
-        step = eta * g
-        if flags.rp:
-            sample.rp = (cost.value(theta - step) - loss) / (eta * gnorm**2)
-        if flags.dir:
-            sample.dir = M.directional_smoothness(cost, theta, step)
-        if flags.identity:
-            check = M.verify_identity(cost, theta, eta, flags.grid)
-            sample.identity_residual = check.residual
-        if flags.tau_sweep:
-            mean, std = M.tau_dir_stats(cost, theta, eta, flags.grid)
-            sample.tau_dir_mean = mean
-            sample.tau_dir_std = std
+    step = eta * g if defined and (flags.rp or flags.dir) else None
+    if step is not None and flags.dir and not 0.0 < float(step @ step) < math.inf:
+        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
+    if defined and flags.identity:
+        sample.identity_residual = M.verify_identity(cost, theta, eta, flags.grid).residual
+    if defined and flags.tau_sweep:
+        sample.tau_dir_mean, sample.tau_dir_std = M.tau_dir_stats(cost, theta, eta, flags.grid)
     if flags.sharpness and math.isfinite(loss):
         sample.sharpness = M.sharpness(
             cost, theta, flags.sharpness_tol, flags.sharpness_max_iter
         )
-    return sample
+    return sample, step
+
+
+def _finish_step(sample, step, g, next_loss, next_g, eta, flags):
+    """rp and dir along ``step`` = eta*g from the loss and gradient at theta - step."""
+    try:
+        if flags.rp:
+            sample.rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)
+        if flags.dir:
+            sample.dir = float(step @ (g - next_g)) / float(step @ step)
+    except ZeroDivisionError as exc:
+        raise RuntimeError(f"metric evaluation failed at iteration {sample.iteration}") from exc
 
 
 def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
            flags: MetricFlags | None = None, record_iterates: bool = False) -> Trajectory:
-    """Exact deterministic gradient descent with per-cadence instrumentation."""
+    """Exact deterministic gradient descent with per-cadence instrumentation.
+
+    One ``value_and_gradient`` per iterate: theta - eta*g is exactly the next
+    iterate, so rp and dir are filled in one step late, and only the terminal
+    sample evaluates one iterate ahead.
+    """
     flags = flags or MetricFlags()
     theta = as_params(theta0, cost.dimension)
     cadence = config.cadence_for(cost)
     samples: list = []
     iterates = [] if record_iterates else None
-    outcome = OUTCOME_BUDGET
+    owed = None  # (sample, step, g) waiting on the next iterate
 
     for t in range(config.max_iter + 1):
-        loss = cost.value(theta)
-        g = cost.gradient(theta)
+        loss, g = cost.value_and_gradient(theta)
+        if owed:
+            _finish_step(*owed, loss, g, config.eta, flags)
+            owed = None
         gnorm = float(np.linalg.norm(g))
         if record_iterates:
             iterates.append(theta.copy())
 
         at_cadence = t % cadence == 0
-        blown = (not math.isfinite(loss)) or loss >= config.blowup_threshold \
-            or not math.isfinite(gnorm)
-        if blown:
-            outcome = OUTCOME_DIVERGED
-        elif config.stop_accuracy is not None and at_cadence and hasattr(cost, "accuracy") \
-                and cost.accuracy(theta) >= config.stop_accuracy:
-            outcome = OUTCOME_CONVERGED
-        elif gnorm <= M.grad_floor(loss):
-            outcome = OUTCOME_CONVERGED
-        terminal = blown or outcome == OUTCOME_CONVERGED or t == config.max_iter
+        outcome = _stop_rule(cost, theta, loss, gnorm, config, at_cadence) or OUTCOME_BUDGET
+        terminal = outcome != OUTCOME_BUDGET or t == config.max_iter
 
         if at_cadence or terminal:
             try:
-                samples.append(_sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags))
+                sample, step = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+                owed = (sample, step, g) if step is not None else None
+                if owed and terminal:  # look one iterate ahead
+                    _finish_step(*owed, *cost.value_and_gradient(theta - step), config.eta, flags)
             except Exception as exc:
                 raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
+            samples.append(sample)
         if terminal:
             break
         theta = theta - config.eta * g
@@ -171,30 +190,26 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     step = 0
 
     def epoch_sample(t):
-        loss = cost.value(theta)
-        g = cost.gradient(theta)
+        loss, g = cost.value_and_gradient(theta)
         gnorm = float(np.linalg.norm(g))
         sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
         defined = math.isfinite(loss) and math.isfinite(gnorm) and gnorm >= M.grad_floor(loss)
         try:
             if defined and flags.expected_rp:
-                est, _ = M.expected_rp(
-                    cost, theta, config.eta, batch, flags.expected_rp_batches,
-                    seed=rng.integers(0, 2**63),
-                )
-                sample.rp = est
+                sample.rp, _ = M.expected_rp(cost, theta, config.eta, batch,
+                                             flags.expected_rp_batches, seed=rng.integers(0, 2**63))
             elif defined and flags.rp:
-                sample.rp = M.relative_progress(cost, theta, config.eta)
+                sample.rp = (cost.value(theta - config.eta * g) - loss) / (config.eta * gnorm**2)
             if defined and flags.dir:
                 sample.dir = M.directional_smoothness(cost, theta, config.eta * g)
         except Exception as exc:
             raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
-        return sample, loss, gnorm
+        samples.append(sample)
+        if record_checkpoints:
+            checkpoints.append(theta.copy())
+        return loss, gnorm
 
-    sample, loss, gnorm = epoch_sample(0)
-    samples.append(sample)
-    if record_checkpoints:
-        checkpoints.append(theta.copy())
+    epoch_sample(0)
 
     for epoch in range(config.max_iter):
         if batch >= n:
@@ -209,21 +224,11 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             if not np.all(np.isfinite(theta)):
                 outcome = OUTCOME_DIVERGED
                 break
-        sample, loss, gnorm = epoch_sample(step)
-        samples.append(sample)
-        if record_checkpoints:
-            checkpoints.append(theta.copy())
+        loss, gnorm = epoch_sample(step)
         if outcome == OUTCOME_DIVERGED:
             break
-        if not math.isfinite(loss) or loss >= config.blowup_threshold:
-            outcome = OUTCOME_DIVERGED
-            break
-        if config.stop_accuracy is not None and hasattr(cost, "accuracy"):
-            if cost.accuracy(theta) >= config.stop_accuracy:
-                outcome = OUTCOME_CONVERGED
-                break
-        if gnorm <= M.grad_floor(loss):
-            outcome = OUTCOME_CONVERGED
+        outcome = _stop_rule(cost, theta, loss, gnorm, config) or OUTCOME_BUDGET
+        if outcome != OUTCOME_BUDGET:
             break
 
     return Trajectory(samples, theta, outcome, checkpoints)

@@ -245,3 +245,48 @@ def test_load_preset_from_stream_matches_name():
     spec = X.parse_spec(io.StringIO(QUAD_CFG), name_hint="inline")
     assert spec.name == "unit-quad"
     assert spec.etas == [2 / 41]
+
+
+MLP_CFG = """\
+[experiment]
+name = unit-mlp
+
+[cost]
+kind = mlp
+hidden = 4
+
+[dataset]
+source = synthetic
+n = 16
+d = 3
+classes = 2
+
+[optimizer]
+eta = 0.1
+max_iter = 2
+"""
+
+
+@pytest.mark.parametrize("field,text", [
+    pytest.param("metrics.tau_points",
+                 QUAD_CFG + "\n[metrics]\nidentity = true\ntau_points = abc\n", id="tau_points"),
+    pytest.param("metrics.tau_points", QUAD_CFG + "\n[metrics]\ntau_points = 0\n",
+                 id="tau_points-zero"),
+    pytest.param("metrics.expected_rp_batches",
+                 QUAD_CFG + "\n[metrics]\nexpected_rp_batches = 1.5\n", id="expected_rp_batches"),
+    pytest.param("optimizer.max_iter", QUAD_CFG.replace("max_iter = 800", "max_iter = many"),
+                 id="max_iter"),
+    pytest.param("init.seed", MLP_CFG + "\n[init]\nseed = abc\n", id="init.seed"),
+    pytest.param("init.seed", MLP_CFG + "\n[init]\nseed = -1\n", id="init.seed-negative"),
+    pytest.param("dataset.seed", MLP_CFG.replace("classes = 2", "classes = 2\nseed = x"),
+                 id="dataset.seed"),
+    pytest.param("dataset.n_take", MLP_CFG.replace(
+        "source = synthetic", "source = cifar10\npath = {batch}\nn_take = abc"), id="n_take"),
+])
+def test_malformed_integer_fields_exit_2(tmp_path, capsys, field, text):
+    batch = tmp_path / "data_batch_1.bin"
+    batch.write_bytes(b"")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("{batch}", str(batch)))
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err

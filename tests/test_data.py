@@ -4,12 +4,12 @@ import pytest
 from gdscope import (
     ContractViolation,
     DatasetFormatError,
+    MLPCost,
     MetricFlags,
     OptimizerConfig,
     SynthSpec,
     gd_run,
     load_cifar10_binary,
-    make_mlp,
     subsample,
     synth_dataset,
 )
@@ -43,7 +43,7 @@ def test_tiny_spread_is_linearly_separable():
     # with nearly point-mass clusters a bias-only linear classifier must hit
     # 100% train accuracy under plain GD
     ds = synth_dataset(SynthSpec(n=64, d=4, classes=2, cluster_spread=1e-4, seed=9))
-    model = make_mlp(ds, hidden_sizes=(), activation="linear")
+    model = MLPCost(ds, hidden_sizes=(), activation="linear")
     traj = gd_run(model, model.init_params(0),
                   OptimizerConfig(eta=0.5, max_iter=3000, stop_accuracy=1.0),
                   MetricFlags(rp=False, dir=False))

@@ -6,21 +6,21 @@ import pytest
 from gdscope import (
     ContractViolation,
     CostFunction,
+    MLPCost,
     MetricFlags,
     NearStationaryError,
     OptimizerConfig,
     PowerIterationError,
+    Quadratic,
     QuadratureGrid,
+    SingleNeuron,
     SynthSpec,
+    TanhQuadratic,
     ZeroDirectionError,
     directional_smoothness,
     expected_rp,
     expected_rp_rhs,
     gd_run,
-    make_mlp,
-    make_quadratic,
-    make_single_neuron,
-    make_tanh_quadratic,
     relative_progress,
     rp_approx_residual,
     segment_max_sharpness,
@@ -50,7 +50,7 @@ class Cubic(CostFunction):
 def mid_training_mlp():
     """A width-32 tanh classifier stopped mid-descent, away from stationarity."""
     ds = synth_dataset(SynthSpec(n=48, d=5, classes=3, cluster_spread=0.6, seed=3))
-    net = make_mlp(ds, hidden_sizes=(32,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(32,), activation="tanh")
     traj = gd_run(net, net.init_params(4), OptimizerConfig(eta=0.5, max_iter=200),
                   MetricFlags(rp=False, dir=False))
     return net, traj.final_theta
@@ -61,7 +61,7 @@ def mid_training_mlp():
 
 def test_rp_one_dim_quadratic_closed_form():
     lam = 40.0
-    cost = make_quadratic([[lam]])
+    cost = Quadratic([[lam]])
     # rp = -1 + eta*lam/2 exactly; zero at eta = 2/lam
     assert relative_progress(cost, [1.0], 2 / lam) == pytest.approx(0.0, abs=1e-14)
     assert relative_progress(cost, [-3.7], 2 / lam) == pytest.approx(0.0, abs=1e-14)
@@ -69,7 +69,7 @@ def test_rp_one_dim_quadratic_closed_form():
 
 
 def test_rp_tanh_quadratic_independent_scalar_oracle():
-    cost = make_tanh_quadratic(np.diag([40.0, 2.0]))
+    cost = TanhQuadratic(np.diag([40.0, 2.0]))
     theta = (0.3, 0.1)
     eta = 2 / 39
     # oracle: Def-style re-evaluation in plain python scalar arithmetic
@@ -84,7 +84,7 @@ def test_rp_tanh_quadratic_independent_scalar_oracle():
 
 
 def test_rp_undefined_near_stationary():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     with pytest.raises(NearStationaryError):
         relative_progress(cost, [0.0, 0.0], 0.01)
     with pytest.raises(ContractViolation):
@@ -95,7 +95,7 @@ def test_rp_undefined_near_stationary():
 
 
 def test_dir_is_rayleigh_quotient_on_quadratics():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     theta = np.array([0.3, -0.8])
     assert directional_smoothness(cost, theta, [1.0, 0.0]) == pytest.approx(40.0, abs=1e-12)
     assert directional_smoothness(cost, theta, [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
@@ -104,7 +104,7 @@ def test_dir_is_rayleigh_quotient_on_quadratics():
 
 
 def test_dir_rejects_zero_direction():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     with pytest.raises(ZeroDirectionError):
         directional_smoothness(cost, [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ZeroDirectionError):
@@ -115,7 +115,7 @@ def test_dir_rejects_zero_direction():
 
 
 def test_integral_exact_for_constant_dir():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     got = weighted_dir_integral(cost, [1.0, 0.0], 2 / 40)
     assert got == pytest.approx(40.0, abs=1e-10)
 
@@ -139,7 +139,7 @@ def test_integral_cubic_against_brute_force_riemann():
 
 
 def test_integral_single_node_grid_degenerate_rule():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([1.0, 0.0]), 0.01
     dir_at_one = directional_smoothness(cost, theta, eta * cost.gradient(theta))
     got = weighted_dir_integral(cost, theta, eta, QuadratureGrid(np.array([1.0])))
@@ -167,14 +167,14 @@ def test_identity_exact_on_quadratics():
         lams = rng.uniform(0.5, 30.0, n)
         Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
         P = Qm @ np.diag(lams) @ Qm.T
-        cost = make_quadratic(0.5 * (P + P.T))
+        cost = Quadratic(0.5 * (P + P.T))
         theta = rng.standard_normal(n)
         eta = float(rng.uniform(0.001, 0.2))
         assert verify_identity(cost, theta, eta).residual <= 1e-12
 
 
 def test_identity_tanh_quadratic_quadrature_error_only():
-    cost = make_tanh_quadratic(np.diag([40.0, 2.0]))
+    cost = TanhQuadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([0.5, 0.5]), 2 / 39
     res_default = verify_identity(cost, theta, eta).residual
     assert res_default <= 1e-4
@@ -194,7 +194,7 @@ def test_identity_mlp_mid_training(mid_training_mlp):
 
 
 def test_identity_residual_shrinks_under_refinement():
-    cost = make_single_neuron("tanh")
+    cost = SingleNeuron("tanh")
     theta, eta = np.array([2.0, 0.4]), 0.02
     res50 = verify_identity(cost, theta, eta, QuadratureGrid.default(50)).residual
     res200 = verify_identity(cost, theta, eta, QuadratureGrid.default(200)).residual
@@ -202,11 +202,24 @@ def test_identity_residual_shrinks_under_refinement():
     assert res200 <= 1e-3
 
 
+
+def test_identity_sides_equal_the_standalone_metrics(mid_training_mlp):
+    # verify_identity evaluates theta once; both sides must still be bit-identical
+    # to relative_progress and weighted_dir_integral computed on their own
+    net, theta = mid_training_mlp
+    eta = 2 / 60
+    for grid, zero_node in ((None, True), (QuadratureGrid.default(37), False)):
+        check = verify_identity(net, theta, eta, grid, include_zero_node=zero_node)
+        assert check.lhs == relative_progress(net, theta, eta)
+        assert check.rhs == -1.0 + 0.5 * eta * weighted_dir_integral(
+            net, theta, eta, grid, include_zero_node=zero_node)
+        assert check.residual == abs(check.lhs - check.rhs)
+
 # --- single-tau approximation --------------------------------------------------
 
 
 def test_rp_approx_residual_zero_on_quadratics():
-    cost = make_quadratic(np.diag([13.0, 4.0, 1.0]))
+    cost = Quadratic(np.diag([13.0, 4.0, 1.0]))
     rng = np.random.default_rng(12)
     for _ in range(10):
         theta = rng.standard_normal(3)
@@ -236,26 +249,26 @@ def test_rp_approx_residual_bounded_by_tau_spread(mid_training_mlp):
 
 
 def test_sharpness_psd_quadratic():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     assert sharpness(cost, [1.0, 1.0], tol=1e-12) == pytest.approx(40.0, abs=1e-8)
 
 
 def test_sharpness_indefinite_needs_the_shift():
     # plain power iteration would lock onto |-5|; the shifted phase must report 3
-    cost = make_quadratic(np.diag([-5.0, 3.0]))
+    cost = Quadratic(np.diag([-5.0, 3.0]))
     assert sharpness(cost, [1.0, 1.0], tol=1e-12) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_sharpness_nonconvergence_carries_rayleigh():
     # near-degenerate top pair converges too slowly for the budget
-    cost = make_quadratic(np.diag([10.0, 9.99, 1.0]))
+    cost = Quadratic(np.diag([10.0, 9.99, 1.0]))
     with pytest.raises(PowerIterationError) as kept:
         sharpness(cost, [1.0, 1.0, 1.0], tol=1e-15, max_iter=50)
     assert math.isfinite(kept.value.last_rayleigh)
 
 
 def test_segment_max_sharpness_constant_hessian():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     for samples in (2, 5, 11):
         got = segment_max_sharpness(cost, [1.0, 1.0], 0.01, samples=samples, tol=1e-10)
         assert got == pytest.approx(40.0, abs=1e-7)
@@ -264,7 +277,7 @@ def test_segment_max_sharpness_constant_hessian():
 
 
 def test_segment_max_dominates_endpoints():
-    cost = make_tanh_quadratic(np.diag([40.0, 2.0]))
+    cost = TanhQuadratic(np.diag([40.0, 2.0]))
     theta = np.array([0.05, 0.3])
     eta = 0.3  # long step so the segment crosses a sharper region
     seg = segment_max_sharpness(cost, theta, eta, samples=21, tol=1e-8)
@@ -280,7 +293,7 @@ def test_segment_max_dominates_endpoints():
 @pytest.fixture(scope="module")
 def sgd_net():
     ds = synth_dataset(SynthSpec(n=64, d=4, classes=2, cluster_spread=0.6, seed=6))
-    net = make_mlp(ds, hidden_sizes=(8,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(8,), activation="tanh")
     return net, net.init_params(3)
 
 
@@ -293,7 +306,7 @@ def test_expected_rp_full_batch_is_deterministic_rp(sgd_net):
 
 
 def test_expected_rp_rhs_deterministic_quadratic():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([0.4, -0.7]), 0.02
     g = cost.gradient(theta)
     sampler = lambda rng: g  # deterministic full gradient
@@ -306,7 +319,7 @@ def test_expected_rp_rhs_deterministic_quadratic():
 
 def test_expected_rp_noisy_quadratic_closed_form():
     dim, lam, sigma, eta = 10, 3.0, 0.5, 0.1
-    cost = make_quadratic(lam * np.eye(dim))
+    cost = Quadratic(lam * np.eye(dim))
     theta = np.random.default_rng(42).standard_normal(dim)
     g = cost.gradient(theta)
     gn2 = float(g @ g)
@@ -318,7 +331,7 @@ def test_expected_rp_noisy_quadratic_closed_form():
 
 def test_expected_rp_rhs_quadrature_matches_lhs_under_noise():
     dim, lam, sigma, eta = 6, 2.0, 0.4, 0.08
-    cost = make_quadratic(lam * np.eye(dim))
+    cost = Quadratic(lam * np.eye(dim))
     theta = np.random.default_rng(1).standard_normal(dim)
     sampler = lambda rng: cost.gradient(theta) + sigma * rng.standard_normal(dim)
     lhs, se1 = expected_rp(cost, theta, eta, 1, 4000, seed=3, grad_sampler=sampler)
@@ -331,7 +344,7 @@ def test_expected_rp_can_go_positive_mid_training():
     # frozen replica: relu net driven hard by SGD keeps decreasing the loss in
     # the long run even though the expected one-step progress turns positive
     ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
-    net = make_mlp(ds, hidden_sizes=(32, 32), activation="relu")
+    net = MLPCost(ds, hidden_sizes=(32, 32), activation="relu")
     traj = sgd_run(net, net.init_params(7),
                    OptimizerConfig(eta=2 / 10, max_iter=15, batch_size=32, seed=5),
                    MetricFlags(expected_rp=True, dir=False, expected_rp_batches=96))
@@ -342,7 +355,7 @@ def test_expected_rp_can_go_positive_mid_training():
 
 
 def test_expected_rp_requires_sampler_or_dataset():
-    cost = make_quadratic(np.diag([4.0, 2.0]))
+    cost = Quadratic(np.diag([4.0, 2.0]))
     with pytest.raises(ContractViolation):
         expected_rp(cost, [1.0, 1.0], 0.1, 4, 10, seed=0)
 
@@ -355,7 +368,7 @@ def test_descent_lemma_bound_in_stable_regime():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         lams = rng.uniform(0.5, 20.0, n)
-        cost = make_quadratic(np.diag(lams))
+        cost = Quadratic(np.diag(lams))
         L = float(lams.max())
         eta = float(rng.uniform(0.05, 0.95)) * 2 / L
         theta = rng.standard_normal(n)
@@ -364,7 +377,7 @@ def test_descent_lemma_bound_in_stable_regime():
 
 
 def test_oscillation_dir_locks_to_two_over_eta():
-    cost = make_quadratic(np.diag([40.0, 2.0]))
+    cost = Quadratic(np.diag([40.0, 2.0]))
     eta = 2 / 40
     traj = gd_run(cost, [1.0, 1.0], OptimizerConfig(eta=eta, max_iter=200),
                   MetricFlags(rp=False, dir=False))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gdscope import ContractViolation, SynthSpec, make_mlp, synth_dataset
-from gdscope.mlp import MLPCost
+from gdscope import ContractViolation, MLPCost, SynthSpec, synth_dataset
 
 from test_costs import central_fd_gradient
 
@@ -18,7 +17,7 @@ def blob_dataset():
 
 
 def test_backprop_matches_finite_differences(small_dataset):
-    mlp = make_mlp(small_dataset, hidden_sizes=(3,), activation="tanh")
+    mlp = MLPCost(small_dataset, hidden_sizes=(3,), activation="tanh")
     theta = mlp.init_params(7)
     g = mlp.gradient(theta)
     fd = central_fd_gradient(mlp, theta, h=1e-5)
@@ -28,7 +27,7 @@ def test_backprop_matches_finite_differences(small_dataset):
 
 @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
 def test_backprop_all_activations(blob_dataset, activation):
-    mlp = make_mlp(blob_dataset, hidden_sizes=(6, 5), activation=activation)
+    mlp = MLPCost(blob_dataset, hidden_sizes=(6, 5), activation=activation)
     rng = np.random.default_rng(17)
     checked = 0
     for seed in range(50):
@@ -54,7 +53,7 @@ def test_backprop_all_activations(blob_dataset, activation):
 
 
 def test_normalization_layer_gradients_and_invariance(blob_dataset):
-    net = make_mlp(blob_dataset, hidden_sizes=(6, 4), activation="relu", normalize_first=True)
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 4), activation="relu", normalize_first=True)
     theta = net.init_params(2)
     fd = central_fd_gradient(net, theta, h=1e-6)
     g = net.gradient(theta)
@@ -68,18 +67,18 @@ def test_normalization_layer_gradients_and_invariance(blob_dataset):
 
 
 def test_homogeneous_indices_only_for_exact_invariance(blob_dataset):
-    assert make_mlp(blob_dataset, hidden_sizes=(4,), activation="tanh").homogeneous_indices is None
-    assert make_mlp(blob_dataset, hidden_sizes=(4,), activation="relu").homogeneous_indices is None
-    eps_net = make_mlp(blob_dataset, hidden_sizes=(4,), activation="relu",
+    assert MLPCost(blob_dataset, hidden_sizes=(4,), activation="tanh").homogeneous_indices is None
+    assert MLPCost(blob_dataset, hidden_sizes=(4,), activation="relu").homogeneous_indices is None
+    eps_net = MLPCost(blob_dataset, hidden_sizes=(4,), activation="relu",
                        normalize_first=True, normalize_eps=1e-3)
     assert eps_net.homogeneous_indices is None  # eps breaks exact scale invariance
-    exact = make_mlp(blob_dataset, hidden_sizes=(4,), activation="relu", normalize_first=True)
+    exact = MLPCost(blob_dataset, hidden_sizes=(4,), activation="relu", normalize_first=True)
     n_first = 4 * blob_dataset.d + 4
     assert np.array_equal(exact.homogeneous_indices, np.arange(n_first))
 
 
 def test_stochastic_gradient_contracts(blob_dataset):
-    mlp = make_mlp(blob_dataset, hidden_sizes=(6,), activation="tanh")
+    mlp = MLPCost(blob_dataset, hidden_sizes=(6,), activation="tanh")
     theta = mlp.init_params(0)
     full = mlp.gradient(theta)
 
@@ -98,7 +97,7 @@ def test_stochastic_gradient_contracts(blob_dataset):
 
 
 def test_stochastic_gradient_is_unbiased(blob_dataset):
-    mlp = make_mlp(blob_dataset, hidden_sizes=(4,), activation="tanh")
+    mlp = MLPCost(blob_dataset, hidden_sizes=(4,), activation="tanh")
     theta = mlp.init_params(1)
     full = mlp.gradient(theta)
     rng = np.random.default_rng(10)
@@ -116,7 +115,7 @@ def test_stochastic_gradient_is_unbiased(blob_dataset):
 
 
 def test_init_params_shape_and_determinism(blob_dataset):
-    mlp = make_mlp(blob_dataset, hidden_sizes=(6, 5), activation="tanh")
+    mlp = MLPCost(blob_dataset, hidden_sizes=(6, 5), activation="tanh")
     a = mlp.init_params(123)
     b = mlp.init_params(123)
     assert np.array_equal(a, b)
@@ -128,7 +127,7 @@ def test_init_params_shape_and_determinism(blob_dataset):
 
 
 def test_accuracy_ties_break_to_lower_class(small_dataset):
-    mlp = make_mlp(small_dataset, hidden_sizes=(), activation="linear")
+    mlp = MLPCost(small_dataset, hidden_sizes=(), activation="linear")
     theta = np.zeros(mlp.dimension)  # all logits equal -> predict class 0
     pred_acc = mlp.accuracy(theta)
     want = float(np.mean(small_dataset.labels == 0))

@@ -3,17 +3,18 @@ import pytest
 
 from gdscope import (
     ContractViolation,
+    MLPCost,
     MetricFlags,
     MetricSample,
     OptimizerConfig,
+    Quadratic,
     SynthSpec,
+    TanhQuadratic,
     Trajectory,
     classify_regime,
     escape_experiment,
     gd_run,
-    make_mlp,
-    make_quadratic,
-    make_tanh_quadratic,
+    grad_floor,
     quadratic_divergence_oracle,
     sgd_run,
     synth_dataset,
@@ -23,7 +24,7 @@ QUIET = MetricFlags(rp=False, dir=False)
 
 
 def test_gd_stability_boundary_outcomes():
-    q = make_quadratic(np.diag([40.0, 2.0]))
+    q = Quadratic(np.diag([40.0, 2.0]))
     diverged = gd_run(q, [1.0, 1.0], OptimizerConfig(eta=2 / 39, max_iter=2000))
     assert diverged.outcome == "diverged"
     assert diverged.samples[-1].loss >= 1e12 or not np.isfinite(diverged.samples[-1].loss)
@@ -40,15 +41,17 @@ def test_gd_stability_boundary_outcomes():
 
 
 def test_gd_flattened_quadratic_never_diverges():
-    cost = make_tanh_quadratic(np.diag([40.0, 2.0]))
-    traj = gd_run(cost, [1.0, 1.0], OptimizerConfig(eta=2 / 39, max_iter=10_000),
+    # from (1, 1) tanh(21) rounds to 1.0, the gradient is exactly 0 and no step is taken
+    cost = TanhQuadratic(np.diag([40.0, 2.0]))
+    traj = gd_run(cost, [0.1, 0.1], OptimizerConfig(eta=2 / 39, max_iter=10_000),
                   QUIET, record_iterates=True)
-    assert traj.outcome != "diverged"
+    assert traj.outcome == "budget_exhausted"
+    assert len(traj.iterates) == 10_001 and traj.samples[-1].iteration == 10_000
     assert max(np.linalg.norm(t) for t in traj.iterates) < 10.0
 
 
 def test_gd_step_exactness():
-    cost = make_tanh_quadratic(np.diag([7.0, 3.0]))
+    cost = TanhQuadratic(np.diag([7.0, 3.0]))
     eta = 0.11
     traj = gd_run(cost, [0.2, -0.4], OptimizerConfig(eta=eta, max_iter=50),
                   QUIET, record_iterates=True)
@@ -58,7 +61,7 @@ def test_gd_step_exactness():
 
 def test_gd_bit_identical_reruns():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    net = make_mlp(ds, hidden_sizes=(6,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(6,), activation="tanh")
     theta0 = net.init_params(1)
     cfg = OptimizerConfig(eta=0.3, max_iter=60, metric_cadence=5)
     a = gd_run(net, theta0, cfg)
@@ -69,10 +72,10 @@ def test_gd_bit_identical_reruns():
 
 
 def test_metric_cadence_default_rule():
-    small = make_quadratic(np.eye(2))
+    small = Quadratic(np.eye(2))
     assert OptimizerConfig(eta=0.1).cadence_for(small) == 1
     ds = synth_dataset(SynthSpec(n=16, d=40, classes=2, seed=0))
-    big = make_mlp(ds, hidden_sizes=(40,), activation="tanh")
+    big = MLPCost(ds, hidden_sizes=(40,), activation="tanh")
     assert big.dimension >= 1000
     assert OptimizerConfig(eta=0.1).cadence_for(big) == 5
     assert OptimizerConfig(eta=0.1, metric_cadence=7).cadence_for(big) == 7
@@ -92,7 +95,7 @@ def test_config_validation():
 
 def test_sgd_full_batch_reduces_to_gd_bit_exactly():
     ds = synth_dataset(SynthSpec(n=24, d=3, classes=2, cluster_spread=0.4, seed=4))
-    net = make_mlp(ds, hidden_sizes=(5,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(5,), activation="tanh")
     theta0 = net.init_params(2)
     gd = gd_run(net, theta0, OptimizerConfig(eta=0.2, max_iter=40), QUIET)
     sgd = sgd_run(net, theta0, OptimizerConfig(eta=0.2, max_iter=40, batch_size=24),
@@ -102,7 +105,7 @@ def test_sgd_full_batch_reduces_to_gd_bit_exactly():
 
 def test_sgd_seeded_determinism():
     ds = synth_dataset(SynthSpec(n=48, d=4, classes=3, cluster_spread=0.6, seed=1))
-    net = make_mlp(ds, hidden_sizes=(6,), activation="relu")
+    net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
     theta0 = net.init_params(0)
     cfg = OptimizerConfig(eta=0.05, max_iter=6, batch_size=8, seed=77)
     a = sgd_run(net, theta0, cfg)
@@ -113,17 +116,17 @@ def test_sgd_seeded_determinism():
 
 def test_sgd_requires_batch_and_dataset():
     ds = synth_dataset(SynthSpec(n=16, d=2, classes=2, seed=0))
-    net = make_mlp(ds, hidden_sizes=(4,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(4,), activation="tanh")
     with pytest.raises(ContractViolation):
         sgd_run(net, net.init_params(0), OptimizerConfig(eta=0.1, max_iter=3))
-    quad = make_quadratic(np.eye(2))
+    quad = Quadratic(np.eye(2))
     with pytest.raises(ContractViolation):
         sgd_run(quad, [1.0, 1.0], OptimizerConfig(eta=0.1, max_iter=3, batch_size=4))
 
 
 def test_sgd_records_epoch_checkpoints():
     ds = synth_dataset(SynthSpec(n=32, d=3, classes=2, seed=9))
-    net = make_mlp(ds, hidden_sizes=(4,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(4,), activation="tanh")
     traj = sgd_run(net, net.init_params(1),
                    OptimizerConfig(eta=0.1, max_iter=5, batch_size=8, seed=0),
                    MetricFlags(rp=True, dir=False), record_checkpoints=True)
@@ -190,21 +193,21 @@ def test_classify_thresholds_overridable():
 
 
 def test_escape_quadratic_sharp_origin():
-    q = make_quadratic(np.diag([40.0, 2.0]))
+    q = Quadratic(np.diag([40.0, 2.0]))
     res = escape_experiment(q, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 39,
                             iters=400, trials=100, seed=1)
     assert res.fraction == 1.0
 
 
 def test_escape_control_stays_put():
-    q = make_quadratic(np.diag([40.0, 2.0]))
+    q = Quadratic(np.diag([40.0, 2.0]))
     res = escape_experiment(q, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 41,
                             iters=400, trials=100, seed=1)
     assert res.fraction == 0.0
 
 
 def test_escape_flattened_quadratic_bounded():
-    cost = make_tanh_quadratic(np.diag([40.0, 2.0]))
+    cost = TanhQuadratic(np.diag([40.0, 2.0]))
     res = escape_experiment(cost, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 39,
                             iters=600, trials=30, seed=2)
     assert res.fraction == 1.0
@@ -215,7 +218,7 @@ def test_escape_flattened_quadratic_bounded():
 def test_sgd_long_run_loss_decreases():
     # canonical desk-scale setting: relu net, batch 32, eta = 2/100
     ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
-    net = make_mlp(ds, hidden_sizes=(32, 32), activation="relu")
+    net = MLPCost(ds, hidden_sizes=(32, 32), activation="relu")
     traj = sgd_run(net, net.init_params(7),
                    OptimizerConfig(eta=2 / 100, max_iter=12, batch_size=32, seed=5),
                    MetricFlags(rp=False, dir=False))
@@ -224,7 +227,7 @@ def test_sgd_long_run_loss_decreases():
 
 def test_metric_evaluation_errors_name_the_iteration():
     # a sharpness budget of 1 cannot converge; the abort must say where
-    q = make_quadratic(np.diag([10.0, 9.99]))
+    q = Quadratic(np.diag([10.0, 9.99]))
     flags = MetricFlags(rp=False, dir=False, sharpness=True,
                         sharpness_tol=1e-15, sharpness_max_iter=1)
     with pytest.raises(RuntimeError, match="iteration 0"):
@@ -232,7 +235,7 @@ def test_metric_evaluation_errors_name_the_iteration():
 
 
 def test_identity_and_tau_sweep_flags_recorded():
-    q = make_quadratic(np.diag([12.0, 3.0]))
+    q = Quadratic(np.diag([12.0, 3.0]))
     flags = MetricFlags(identity=True, tau_sweep=True)
     traj = gd_run(q, [1.0, 0.5], OptimizerConfig(eta=0.05, max_iter=10), flags)
     s = traj.samples[1]
@@ -251,7 +254,7 @@ def test_gd_outcome_agrees_with_divergence_oracle():
         Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
         P = Qm @ np.diag(lams) @ Qm.T
         P = 0.5 * (P + P.T)
-        cost = make_quadratic(P)
+        cost = Quadratic(P)
         lmax = float(lams.max())
         for eta in np.linspace(0.5 / lmax, 3.5 / lmax, 10):
             if abs(eta * lmax - 2.0) <= 0.01:
@@ -262,3 +265,92 @@ def test_gd_outcome_agrees_with_divergence_oracle():
             assert oracle == (traj.outcome == "diverged")
             checked += 1
     assert checked >= 150
+
+
+# --- rp/dir from consecutive iterates ------------------------------------------
+
+
+def _step_oracle(cost, theta, eta):
+    """(loss, grad_norm, rp, dir) at theta from separate value and gradient calls."""
+    loss = cost.value(theta)
+    g = cost.gradient(theta)
+    gnorm = float(np.linalg.norm(g))
+    if not (np.isfinite(loss) and np.isfinite(gnorm) and gnorm >= grad_floor(loss)):
+        return loss, gnorm, None, None
+    v = eta * g
+    after = theta - v
+    rp = (cost.value(after) - loss) / (eta * gnorm**2)
+    dir_ = float(v @ (g - cost.gradient(after))) / float(v @ v)
+    return loss, gnorm, rp, dir_
+
+
+def _small_net():
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    return MLPCost(ds, hidden_sizes=(6,), activation="tanh")
+
+
+def _runs():
+    net = _small_net()
+    quad = Quadratic(np.diag([40.0, 2.0]))
+    return {
+        # stop rule fires with the gradient above the floor: rp/dir defined at the end
+        "converged_accuracy": (net, net.init_params(1),
+                               dict(eta=2.0, max_iter=400, stop_accuracy=1.0), "converged"),
+        # gradient floor: the terminal sample has rp/dir undefined
+        "converged_floor": (quad, np.array([1.0, 1.0]), dict(eta=2 / 41, max_iter=2000),
+                            "converged"),
+        "diverged": (quad, np.array([1.0, 1.0]), dict(eta=2 / 39, max_iter=2000), "diverged"),
+        "budget": (net, net.init_params(1), dict(eta=1.0, max_iter=45), "budget_exhausted"),
+    }
+
+
+@pytest.mark.parametrize("cadence", [1, 7])
+@pytest.mark.parametrize("run", ["converged_accuracy", "converged_floor", "diverged", "budget"])
+def test_gd_rp_dir_match_separate_evaluations(run, cadence):
+    cost, theta0, kwargs, outcome = _runs()[run]
+    eta = kwargs["eta"]
+    traj = gd_run(cost, theta0, OptimizerConfig(metric_cadence=cadence, **kwargs),
+                  MetricFlags(rp=True, dir=True), record_iterates=True)
+    assert traj.outcome == outcome
+    last = len(traj.iterates) - 1
+    assert [s.iteration for s in traj.samples] == \
+        [t for t in range(last + 1) if t % cadence == 0 or t == last]
+    for s in traj.samples:
+        want = _step_oracle(cost, traj.iterates[s.iteration], eta)
+        assert (s.loss, s.grad_norm, s.rp, s.dir) == want, f"iteration {s.iteration}"
+    if run != "converged_floor":
+        assert traj.samples[-1].rp is not None and traj.samples[-1].dir is not None
+
+
+class _CountingNet(MLPCost):
+    """Counts every evaluation of the loss and/or gradient at a theta."""
+
+    evaluations = 0
+
+    def value(self, theta):
+        self.evaluations += 1
+        return super().value(theta)
+
+    def gradient(self, theta):
+        self.evaluations += 1
+        return super().gradient(theta)
+
+    def value_and_gradient(self, theta):
+        self.evaluations += 1
+        return super().value_and_gradient(theta)
+
+
+@pytest.mark.parametrize("flags,cadence,extra", [
+    (MetricFlags(rp=True, dir=True), 1, 1),
+    (MetricFlags(rp=True, dir=False), 7, 1),
+    (QUIET, 1, 0),
+])
+def test_gd_evaluates_once_per_iterate(flags, cadence, extra):
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
+    steps = 30
+    traj = gd_run(net, net.init_params(1),
+                  OptimizerConfig(eta=0.5, max_iter=steps, metric_cadence=cadence), flags)
+    assert traj.outcome == "budget_exhausted"
+    # one per iterate 0..steps, plus the terminal sample's look-ahead when rp/dir are on
+    assert net.evaluations == steps + 1 + extra

@@ -3,22 +3,22 @@ import pytest
 
 from gdscope import (
     ContractViolation,
+    MLPCost,
     MetricFlags,
     OptimizerConfig,
+    Quadratic,
     SynthSpec,
+    WeightDecayWrapped,
     directional_smoothness,
     eigenmode_trace,
     gd_run,
     homogeneity_orthogonality,
     jacobi_spectrum,
-    make_mlp,
-    make_quadratic,
     quadratic_divergence_oracle,
     relative_progress,
     rp_dir_closed_forms,
     sharpness,
     synth_dataset,
-    wrap_weight_decay,
 )
 
 
@@ -87,7 +87,7 @@ def test_eigenmode_trace_matches_gd_iterates():
     # fastest mode decays like 0.9^t: after 100 steps every coefficient is
     # still far above float noise, so 1e-8 relative is a meaningful bar
     eta = 0.005
-    cost = make_quadratic(P)
+    cost = Quadratic(P)
     traj = gd_run(cost, theta0, OptimizerConfig(eta=eta, max_iter=100),
                   MetricFlags(rp=False, dir=False), record_iterates=True)
     assert len(traj.iterates) == 101
@@ -101,7 +101,7 @@ def test_eigenmode_trace_matches_gd_iterates():
 
 def test_long_run_oscillation_along_top_mode():
     P = np.diag([40.0, 2.0])
-    cost = make_quadratic(P)
+    cost = Quadratic(P)
     eta = 2 / 40
     traj = gd_run(cost, [1.0, 1.0], OptimizerConfig(eta=eta, max_iter=200),
                   MetricFlags(rp=False, dir=False), record_iterates=True)
@@ -120,7 +120,7 @@ def test_long_run_oscillation_along_top_mode():
 @pytest.fixture(scope="module")
 def norm_layer_net():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    return make_mlp(ds, hidden_sizes=(6, 4), activation="relu", normalize_first=True)
+    return MLPCost(ds, hidden_sizes=(6, 4), activation="relu", normalize_first=True)
 
 
 def test_orthogonality_exact_for_scale_invariant_block(norm_layer_net):
@@ -133,7 +133,7 @@ def test_orthogonality_exact_for_scale_invariant_block(norm_layer_net):
 def test_decay_gradient_lower_bound(norm_layer_net):
     net = norm_layer_net
     gamma = 0.01
-    wrapped = wrap_weight_decay(net, gamma)
+    wrapped = WeightDecayWrapped(net, gamma)
     idx = net.homogeneous_indices
     for seed in range(100):
         theta = net.init_params(seed)
@@ -144,13 +144,13 @@ def test_decay_gradient_lower_bound(norm_layer_net):
 
 def test_plain_tanh_net_is_negative_control():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    net = make_mlp(ds, hidden_sizes=(6, 4), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(6, 4), activation="tanh")
     assert net.homogeneous_indices is None
     with pytest.raises(ContractViolation):
         homogeneity_orthogonality(net, net.init_params(0))
     # declaring the first layer anyway shows it is genuinely not homogeneous
     n_first = 6 * 4 + 6
-    declared = wrap_weight_decay(net, 0.0, homogeneous_indices=np.arange(n_first))
+    declared = WeightDecayWrapped(net, 0.0, homogeneous_indices=np.arange(n_first))
     vals = [abs(homogeneity_orthogonality(declared, net.init_params(s))) for s in range(10)]
     assert max(vals) > 1e-4
 
@@ -168,7 +168,7 @@ def test_eps_regularized_normalization_sharpens_as_eps_shrinks():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     measured = []
     for eps in (1e-1, 1e-2):
-        net = make_mlp(ds, hidden_sizes=(6, 4), activation="relu",
+        net = MLPCost(ds, hidden_sizes=(6, 4), activation="relu",
                        normalize_first=True, normalize_eps=eps)
         theta = net.init_params(3)
         theta[: 6 * 4 + 6] *= eps  # put first-layer activations at the eps scale
@@ -197,7 +197,7 @@ def test_closed_forms_match_metrics_module():
     Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     P = Q @ np.diag(lams) @ Q.T
     P = 0.5 * (P + P.T)
-    cost = make_quadratic(P)
+    cost = Quadratic(P)
     for _ in range(10):
         theta = rng.standard_normal(10)
         eta = float(rng.uniform(0.01, 0.2))
@@ -214,7 +214,7 @@ def test_closed_forms_with_affine_term():
     rng = np.random.default_rng(15)
     P = random_symmetric(rng, 5, lo=0.5, hi=10.0)
     q = rng.standard_normal(5)
-    cost = make_quadratic(P, q)
+    cost = Quadratic(P, q)
     theta = rng.standard_normal(5)
     eta = 0.03
     rp_c, dir_c = rp_dir_closed_forms(P, theta, eta, q=q)
