@@ -150,7 +150,7 @@ def edge_oscillation() -> CriterionResult:
 def flattened_quadratic_bounded() -> CriterionResult:
     """tanh-flattened quadratic at a diverging step size stays bounded for every step.
 
-    From (1, 1) tanh(21) rounds to 1.0 and the gradient is exactly 0: no step is taken."""
+    Starts at (0.1, 0.1): from (1, 1) tanh(21) == 1.0, the gradient is 0 and no step is taken."""
     steps = 10_000
     cost = C.TanhQuadratic(np.diag([40.0, 2.0]))
     traj = O.gd_run(cost, [0.1, 0.1], O.OptimizerConfig(eta=2 / 39, max_iter=steps),

@@ -201,8 +201,8 @@ class WeightDecayWrapped(CostFunction):
     kind = "weight_decay_wrapped"
 
     def __init__(self, inner: CostFunction, gamma: float, homogeneous_indices=None):
-        if gamma < 0:
-            raise ContractViolation("weight decay gamma must be >= 0")
+        if not 0 <= gamma < math.inf:
+            raise ContractViolation(f"weight decay gamma must be finite and >= 0, got {gamma}")
         self.inner = inner
         self.gamma = float(gamma)
         self.dimension = inner.dimension

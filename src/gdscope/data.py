@@ -79,8 +79,8 @@ class SynthSpec:
             raise ContractViolation("need n >= classes")
         if self.d < 1:
             raise ContractViolation("need d >= 1")
-        if not self.cluster_spread > 0:
-            raise ContractViolation("cluster_spread must be positive")
+        if not 0 < self.cluster_spread < np.inf:
+            raise ContractViolation("cluster_spread must be positive and finite")
 
 
 def synth_dataset(spec: SynthSpec) -> Dataset:

@@ -55,11 +55,19 @@ def parse_int(text: str, *, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _parse_list(text: str, where: str) -> List[float]:
+def _parse_list(text: str, where: str, parse=parse_number) -> list:
     items = [t for t in (p.strip() for p in text.split(",")) if t]
     if not items:
         raise ConfigError(f"{where}: empty list")
-    return [parse_number(t, where=where) for t in items]
+    return [parse(t, where=where) for t in items]
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ContractViolation reported as a ConfigError on ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ContractViolation as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -87,7 +95,7 @@ class ExperimentSpec:
     resolved: List[str] = field(default_factory=list)  # header echo lines
 
     def optimizer_config(self, eta: float) -> O.OptimizerConfig:
-        return O.OptimizerConfig(eta=eta, **self.optimizer)
+        return _checked("optimizer", O.OptimizerConfig, eta=eta, **self.optimizer)
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -178,16 +186,14 @@ def _build_dataset(spec: ExperimentSpec) -> D.Dataset:
     sec = dict(spec.dataset)
     source = sec.get("source", "synthetic").strip().lower()
     if source == "synthetic":
-        try:
-            synth = D.SynthSpec(
-                n=parse_int(sec.get("n", "512"), where="dataset.n"),
-                d=parse_int(sec.get("d", "16"), where="dataset.d"),
-                classes=parse_int(sec.get("classes", "4"), where="dataset.classes"),
-                cluster_spread=parse_number(sec.get("spread", "0.35"), where="dataset.spread"),
-                seed=parse_int(sec.get("seed", "0"), where="dataset.seed", minimum=0),
-            )
-        except ContractViolation as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
+        synth = _checked(
+            "dataset", D.SynthSpec,
+            n=parse_int(sec.get("n", "512"), where="dataset.n"),
+            d=parse_int(sec.get("d", "16"), where="dataset.d"),
+            classes=parse_int(sec.get("classes", "4"), where="dataset.classes"),
+            cluster_spread=parse_number(sec.get("spread", "0.35"), where="dataset.spread"),
+            seed=parse_int(sec.get("seed", "0"), where="dataset.seed", minimum=0),
+        )
         return D.synth_dataset(synth)
     if source == "cifar10":
         n_take = parse_int(sec.get("n_take", "5000"), where="dataset.n_take", minimum=1)
@@ -210,19 +216,20 @@ def build_cost(spec: ExperimentSpec):
         if "p_diag" not in sec:
             raise ConfigError("cost.p_diag: required for quadratic kinds")
         diag = _parse_list(sec.pop("p_diag"), "cost.p_diag")
-        P = np.diag(diag)
         q = None
         if "q" in sec:
-            q = np.array(_parse_list(sec.pop("q"), "cost.q"))
+            q = _checked("cost.q", C.as_params, _parse_list(sec.pop("q"), "cost.q"), len(diag))
         r = parse_number(sec.pop("r", "0"), where="cost.r")
-        cost = C.Quadratic(P, q, r) if kind == "quadratic" else C.TanhQuadratic(P, q, r)
+        quadratic = C.Quadratic if kind == "quadratic" else C.TanhQuadratic
+        cost = _checked("cost.p_diag", quadratic, np.diag(diag), q, r)
     elif kind in ("single_neuron_linear", "single_neuron_tanh"):
         cost = C.SingleNeuron(kind.rsplit("_", 1)[-1])
     elif kind == "mlp":
         dataset = _build_dataset(spec)
-        hidden = [int(h) for h in _parse_list(sec.pop("hidden", "32, 32"), "cost.hidden")]
-        cost = NN.MLPCost(
-            dataset,
+        hidden = _parse_list(sec.pop("hidden", "32, 32"), "cost.hidden",
+                             lambda t, where: parse_int(t, where=where, minimum=1))
+        cost = _checked(
+            "cost", NN.MLPCost, dataset,
             hidden_sizes=hidden,
             activation=sec.pop("activation", "tanh").strip().lower(),
             normalize_first=_parse_bool(sec.pop("normalize_first", "false"), "cost.normalize_first"),
@@ -233,16 +240,13 @@ def build_cost(spec: ExperimentSpec):
     if sec:
         raise ConfigError(f"cost: unknown keys {sorted(sec)}")
 
-    if gamma > 0:
-        cost = C.WeightDecayWrapped(cost, gamma)
+    if gamma != 0:
+        cost = _checked("cost.weight_decay", C.WeightDecayWrapped, cost, gamma)
 
     init = dict(spec.init)
     if "theta0" in init:
-        theta0 = np.array(_parse_list(init["theta0"], "init.theta0"))
-        if theta0.shape[0] != cost.dimension:
-            raise ConfigError(
-                f"init.theta0: got {theta0.shape[0]} entries, cost needs {cost.dimension}"
-            )
+        theta0 = _checked("init.theta0", C.as_params,
+                          _parse_list(init["theta0"], "init.theta0"), cost.dimension)
     elif kind == "mlp":
         inner = cost.inner if isinstance(cost, C.WeightDecayWrapped) else cost
         theta0 = inner.init_params(parse_int(init.get("seed", "0"), where="init.seed", minimum=0))
@@ -315,8 +319,8 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
              suffix: str = "") -> RunSummary:
     """Execute one (spec, eta) run and write its trace + summary files."""
     the_eta = spec.etas[0] if eta is None else eta
-    cost, theta0 = build_cost(spec)
     config = spec.optimizer_config(the_eta)
+    cost, theta0 = build_cost(spec)
     started = time.perf_counter()
     if spec.algorithm == "sgd":
         traj = O.sgd_run(cost, theta0, config, spec.flags)

@@ -109,12 +109,7 @@ def directional_smoothness(cost: CostFunction, theta, v) -> float:
     """Secant curvature <v, grad(theta) - grad(theta - v)> / ||v||^2."""
     theta = as_params(theta, cost.dimension)
     v = np.ascontiguousarray(v, dtype=np.float64)
-    vv = float(v @ v)
-    if not math.isfinite(vv) or vv == 0.0:
-        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-    g = cost.gradient(theta)
-    g_back = cost.gradient(theta - v)
-    return float(v @ (g - g_back)) / vv
+    return float(_dir_along(cost, theta, cost.gradient(theta), v, 1.0, np.ones(1))[0])
 
 
 def _dir_along(cost, theta, g_at_theta, direction, eta, taus):
@@ -123,8 +118,8 @@ def _dir_along(cost, theta, g_at_theta, direction, eta, taus):
     for i, tau in enumerate(taus):
         v = (eta * tau) * direction
         vv = float(v @ v)
-        if vv == 0.0:
-            raise ZeroDirectionError("tau step underflowed to the zero direction")
+        if not math.isfinite(vv) or vv == 0.0:
+            raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
         g_back = cost.gradient(theta - v)
         out[i] = float(v @ (g_at_theta - g_back)) / vv
     return out
@@ -156,11 +151,16 @@ def weighted_dir_integral(cost: CostFunction, theta, eta: float,
     ``include_zero_node=False`` drops the extrapolated tau=0 node; it exists
     for fault injection in the self-check command and for quadrature studies.
     """
-    if grid is None:
-        grid = QuadratureGrid.default()
+    taus = (grid or QuadratureGrid.default()).taus
     theta, _, g, _ = _gradient_above_floor(cost, theta)
-    dirs = _dir_along(cost, theta, g, g, eta, grid.taus)
-    return _weighted_integral(grid.taus, dirs, include_zero_node)
+    return _weighted_integral(taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
+
+
+def _identity(cost, theta, loss, g, gnorm, eta, taus, dirs, include_zero_node=True):
+    """IdentityCheck at an evaluated point, from its tau sweep ``dirs``."""
+    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
+    rhs = -1.0 + 0.5 * eta * _weighted_integral(taus, dirs, include_zero_node)
+    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def verify_identity(cost: CostFunction, theta, eta: float,
@@ -169,33 +169,26 @@ def verify_identity(cost: CostFunction, theta, eta: float,
     """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once."""
     if eta <= 0:
         raise ContractViolation("eta must be positive")
-    if grid is None:
-        grid = QuadratureGrid.default()
+    taus = (grid or QuadratureGrid.default()).taus
     theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
-    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
-    dirs = _dir_along(cost, theta, g, g, eta, grid.taus)
-    rhs = -1.0 + 0.5 * eta * _weighted_integral(grid.taus, dirs, include_zero_node)
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+    dirs = _dir_along(cost, theta, g, g, eta, taus)
+    return _identity(cost, theta, loss, g, gnorm, eta, taus, dirs, include_zero_node)
 
 
 def rp_approx_residual(cost: CostFunction, theta, eta: float) -> float:
-    """|rp - (-1 + (eta/2) * dir at the full step)|.
+    """|rp - (-1 + (eta/2) * dir at the full step)|: the identity on the one-node grid.
 
     Small exactly when dir is nearly constant in tau; exact zero on quadratics.
     """
-    theta, _, g, _ = _gradient_above_floor(cost, theta)
-    rp = relative_progress(cost, theta, eta)
-    dir_full = directional_smoothness(cost, theta, eta * g)
-    return abs(rp - (-1.0 + 0.5 * eta * dir_full))
+    return verify_identity(cost, theta, eta, QuadratureGrid.default(1)).residual
 
 
 def tau_dir_stats(cost: CostFunction, theta, eta: float,
                   grid: QuadratureGrid | None = None):
     """Mean and standard deviation of dir_{eta*tau*grad}(theta) over the tau grid."""
-    if grid is None:
-        grid = QuadratureGrid.default()
+    taus = (grid or QuadratureGrid.default()).taus
     theta, _, g, _ = _gradient_above_floor(cost, theta)
-    dirs = _dir_along(cost, theta, g, g, eta, grid.taus)
+    dirs = _dir_along(cost, theta, g, g, eta, taus)
     return float(np.mean(dirs)), float(np.std(dirs))
 
 
@@ -335,25 +328,22 @@ def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
                     grad_sampler=None):
     """Monte Carlo estimate of -1 + (eta/2) * E[(||g||^2/||grad||^2) * dir_{eta*g}].
 
-    Default is the single-tau (tau=1) form; passing a grid switches to the
-    exact integral form 2 * integral tau * dir_{eta*tau*g} dtau per sample.
+    Default is the single-tau (tau=1) form, i.e. the one-node grid [1.0];
+    passing a grid switches to the exact integral form
+    2 * integral tau * dir_{eta*tau*g} dtau per sample.
     Matching seeds with expected_rp draw identical batch sequences, so the
     two estimates are paired.
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
+    taus = (grid or QuadratureGrid.default(1)).taus
     theta, _, g, gnorm = _gradient_above_floor(cost, theta)
     rng = np.random.default_rng(np.uint64(seed))
     grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
     weights = np.empty(num_batches)
     for i, gb in enumerate(grads):
-        ratio = float(gb @ gb) / gnorm**2
-        if grid is None:
-            dir_b = directional_smoothness(cost, theta, eta * gb)
-            weights[i] = ratio * dir_b
-        else:
-            dirs = _dir_along(cost, theta, g, gb, eta, grid.taus)
-            weights[i] = ratio * _weighted_integral(grid.taus, dirs)
+        dirs = _dir_along(cost, theta, g, gb, eta, taus)
+        weights[i] = float(gb @ gb) / gnorm**2 * _weighted_integral(taus, dirs)
     est = -1.0 + 0.5 * eta * float(np.mean(weights))
     if num_batches == 1:
         err = 0.0

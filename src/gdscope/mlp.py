@@ -48,8 +48,8 @@ class MLPCost(CostFunction):
                  normalize_first=False, normalize_eps=0.0):
         if activation not in _ACTIVATIONS:
             raise ContractViolation(f"unknown activation {activation!r}")
-        if normalize_eps < 0:
-            raise ContractViolation("normalize_eps must be >= 0")
+        if not 0 <= normalize_eps < math.inf:
+            raise ContractViolation(f"normalize_eps must be finite and >= 0, got {normalize_eps}")
         if normalize_first and not hidden_sizes:
             raise ContractViolation("normalization layer needs at least one hidden layer")
         self.dataset = dataset

@@ -39,14 +39,16 @@ class OptimizerConfig:
     batch_size: Optional[int] = None  # None means full-batch GD
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ContractViolation("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ContractViolation(f"eta must be positive and finite, got {self.eta}")
         if self.max_iter < 1:
             raise ContractViolation("max_iter must be >= 1")
         if self.metric_cadence is not None and self.metric_cadence < 1:
             raise ContractViolation("metric_cadence must be >= 1")
         if self.stop_accuracy is not None and not (0.0 < self.stop_accuracy <= 1.0):
             raise ContractViolation("stop_accuracy must lie in (0, 1]")
+        if not self.blowup_threshold > 0:
+            raise ContractViolation(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
     def cadence_for(self, cost: CostFunction) -> int:
         if self.metric_cadence is not None:
@@ -86,7 +88,8 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     """The outcome a stop rule gives at this iterate, or None to keep stepping."""
     if not (math.isfinite(loss) and math.isfinite(gnorm)) or loss >= config.blowup_threshold:
         return OUTCOME_DIVERGED
-    if gnorm <= M.grad_floor(loss) or (
+    # near-stationary: ||g|| and a step's eta*||g||^2 both under a floor that grows with |loss|
+    if max(gnorm, config.eta * gnorm * gnorm) <= M.grad_floor(loss) or (
             check_accuracy and config.stop_accuracy is not None and hasattr(cost, "accuracy")
             and cost.accuracy(theta) >= config.stop_accuracy):
         return OUTCOME_CONVERGED
@@ -94,21 +97,25 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
 
 
 def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
-    """The sample at iterate t, and the step whose rp/dir wait on the next iterate (or None)."""
+    """The sample at iterate t, whether rp/dir are defined, and the step they wait on (or None)."""
     sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
     step = eta * g if defined and (flags.rp or flags.dir) else None
     if step is not None and flags.dir and not 0.0 < float(step @ step) < math.inf:
         raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-    if defined and flags.identity:
-        sample.identity_residual = M.verify_identity(cost, theta, eta, flags.grid).residual
-    if defined and flags.tau_sweep:
-        sample.tau_dir_mean, sample.tau_dir_std = M.tau_dir_stats(cost, theta, eta, flags.grid)
+    if defined and (flags.identity or flags.tau_sweep):  # one tau sweep serves both
+        taus = (flags.grid or M.QuadratureGrid.default()).taus
+        dirs = M._dir_along(cost, theta, g, g, eta, taus)
+        if flags.identity:
+            sample.identity_residual = M._identity(
+                cost, theta, loss, g, gnorm, eta, taus, dirs).residual
+        if flags.tau_sweep:
+            sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
     if flags.sharpness and math.isfinite(loss):
         sample.sharpness = M.sharpness(
             cost, theta, flags.sharpness_tol, flags.sharpness_max_iter
         )
-    return sample, step
+    return sample, defined, step
 
 
 def _finish_step(sample, step, g, next_loss, next_g, eta, flags):
@@ -152,7 +159,7 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
         if at_cadence or terminal:
             try:
-                sample, step = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+                sample, _, step = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
                 owed = (sample, step, g) if step is not None else None
                 if owed and terminal:  # look one iterate ahead
                     _finish_step(*owed, *cost.value_and_gradient(theta - step), config.eta, flags)
@@ -170,9 +177,9 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             flags: MetricFlags | None = None, record_checkpoints: bool = False) -> Trajectory:
     """Epoch-shuffled minibatch SGD.
 
-    max_iter counts epochs. Full-batch loss (and, when enabled, the expected
-    relative progress estimate) is recorded at the end of every epoch; the rp
-    field of those samples holds the Monte Carlo expected-rp estimate.
+    max_iter counts epochs. The end of every epoch is sampled like a GD iterate,
+    honouring every flag, except that with ``expected_rp`` on the rp field
+    holds the Monte Carlo expected-rp estimate.
     batch_size = n skips shuffling so the run reduces bit-exactly to gd_run.
     """
     flags = flags or MetricFlags(dir=False)
@@ -192,16 +199,14 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     def epoch_sample(t):
         loss, g = cost.value_and_gradient(theta)
         gnorm = float(np.linalg.norm(g))
-        sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
-        defined = math.isfinite(loss) and math.isfinite(gnorm) and gnorm >= M.grad_floor(loss)
         try:
+            sample, defined, owed = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+            if owed is not None:  # look one iterate ahead, as gd_run's terminal sample does
+                _finish_step(sample, owed, g, *cost.value_and_gradient(theta - owed),
+                             config.eta, flags)
             if defined and flags.expected_rp:
                 sample.rp, _ = M.expected_rp(cost, theta, config.eta, batch,
                                              flags.expected_rp_batches, seed=rng.integers(0, 2**63))
-            elif defined and flags.rp:
-                sample.rp = (cost.value(theta - config.eta * g) - loss) / (config.eta * gnorm**2)
-            if defined and flags.dir:
-                sample.dir = M.directional_smoothness(cost, theta, config.eta * g)
         except Exception as exc:
             raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
         samples.append(sample)

@@ -290,3 +290,19 @@ def test_malformed_integer_fields_exit_2(tmp_path, capsys, field, text):
     cfg.write_text(text.replace("{batch}", str(batch)))
     assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
+    cfg = tmp_path / "sgd-metrics.cfg"
+    cfg.write_text(MLP_CFG.replace("hidden = 4", "hidden = 4\nactivation = relu")
+                   .replace("max_iter = 2", "max_iter = 2\nalgorithm = sgd\nbatch_size = 4")
+                   + "\n[metrics]\nsharpness = true\nidentity = true\ntau_sweep = true\n"
+                   "tau_points = 5\n\n[output]\npath = sgd-metrics.csv\n")
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "sgd-metrics.csv").read_text()
+    assert "# algorithm = sgd" in text
+    assert "finite-difference surrogate" in text
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert all(field != "" for field in row[5:]), row

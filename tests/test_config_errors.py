@@ -1,0 +1,127 @@
+"""Every malformed value of a config field exits 2 through ``cli.main``."""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gdscope import cli
+
+QUAD = """\
+[experiment]
+name = bad-quad
+
+[cost]
+kind = quadratic
+p_diag = {p_diag}
+{q}
+weight_decay = {weight_decay}
+
+[init]
+theta0 = {theta0}
+
+[optimizer]
+eta = {eta}
+max_iter = 5
+stop_accuracy = {stop_accuracy}
+blowup_threshold = {blowup_threshold}
+"""
+
+MLP = """\
+[experiment]
+name = bad-mlp
+
+[cost]
+kind = mlp
+hidden = {hidden}
+activation = {activation}
+normalize_eps = {normalize_eps}
+weight_decay = {weight_decay}
+
+[dataset]
+n = 16
+d = 3
+classes = 2
+spread = {spread}
+
+[optimizer]
+eta = 0.1
+max_iter = 2
+"""
+
+GOOD = dict(p_diag="40, 2", q="", weight_decay="0", theta0="1, 1", eta="0.01",
+            stop_accuracy="1", blowup_threshold="1e12", hidden="4", activation="tanh",
+            normalize_eps="0", spread="0.9")
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _num(x: float) -> str:
+    return repr(float(x))
+
+
+def _with_one_bad(bad) -> st.SearchStrategy:
+    """Two comma-separated entries, at least one of them drawn from ``bad``."""
+    return st.tuples(bad, FINITE).flatmap(
+        lambda p: st.sampled_from([f"{_num(p[0])}, {_num(p[1])}", f"{_num(p[1])}, {_num(p[0])}"]))
+
+
+def _wrong_length(lengths) -> st.SearchStrategy:
+    return st.sampled_from(lengths).flatmap(
+        lambda n: st.lists(FINITE, min_size=n, max_size=n).map(lambda xs: ", ".join(map(_num, xs))))
+
+
+# field -> (config template, strategy of malformed values, text the error names)
+MALFORMED = {
+    "eta": (QUAD, (st.floats(max_value=0.0) | NON_FINITE).map(_num), "eta"),
+    "stop_accuracy": (QUAD, (st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
+                             | NON_FINITE).map(_num), "stop_accuracy"),
+    "blowup_threshold": (QUAD, (st.floats(max_value=0.0) | st.just(math.nan)).map(_num),
+                         "blowup_threshold"),
+    "p_diag": (QUAD, _with_one_bad(NON_FINITE), "cost.p_diag"),
+    "theta0": (QUAD, _with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4]), "init.theta0"),
+    "q": (QUAD, (_with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4])).map(lambda t: f"q = {t}"),
+          "cost.q"),
+    "weight_decay": (QUAD, (st.floats(max_value=0.0, exclude_max=True) | NON_FINITE).map(_num),
+                     "cost.weight_decay"),
+    "hidden": (MLP, st.integers(max_value=0).map(str)
+               | st.floats(allow_nan=False, allow_infinity=False)
+                   .filter(lambda x: not x.is_integer()).map(_num), "cost.hidden"),
+    "activation": (MLP, st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
+                   .filter(lambda a: a not in ("tanh", "relu", "linear")), "activation"),
+    "spread": (MLP, (st.floats(max_value=0.0) | NON_FINITE).map(_num), "cluster_spread"),
+    "normalize_eps": (MLP, (st.floats(max_value=0.0, exclude_max=True) | NON_FINITE).map(_num),
+                      "normalize_eps"),
+}
+
+
+def _exit_code(template: str, field: str, value: str):
+    fields = dict(GOOD, **{field: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.cfg"
+        cfg.write_text(template.format(**fields))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", str(cfg), "--outdir", tmp])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MALFORMED)).flatmap(
+    lambda field: st.tuples(st.just(field), MALFORMED[field][1])))
+def test_malformed_field_exits_2(case):
+    field, value = case
+    template, _, named = MALFORMED[field]
+    code, err = _exit_code(template, field, value)
+    assert code == 2, (field, value, err)
+    assert named in err, (field, value, err)
+
+
+def test_well_formed_templates_run():
+    for template in (QUAD, MLP):
+        assert _exit_code(template, "eta", GOOD["eta"])[0] == 0

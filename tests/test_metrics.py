@@ -340,6 +340,23 @@ def test_expected_rp_rhs_quadrature_matches_lhs_under_noise():
     assert abs(lhs - rhs) <= 3 * (se1 + se2)
 
 
+def test_expected_rp_rhs_default_is_the_one_node_grid(sgd_net):
+    # grid=None, the grid [1.0] and a per-batch directional_smoothness loop agree bit for bit
+    net, theta = sgd_net
+    eta, batch, batches, seed = 0.3, 16, 12, 5
+    gnorm = float(np.linalg.norm(net.gradient(theta)))
+    rng = np.random.default_rng(np.uint64(seed))
+    weights = []
+    for _ in range(batches):
+        gb = net.stochastic_gradient(theta, rng.integers(0, net.num_examples, size=batch))
+        weights.append(float(gb @ gb) / gnorm**2 * directional_smoothness(net, theta, eta * gb))
+    want = (-1.0 + 0.5 * eta * float(np.mean(weights)),
+            0.5 * eta * float(np.std(weights, ddof=1) / math.sqrt(batches)))
+    assert expected_rp_rhs(net, theta, eta, batch, batches, seed) == want
+    assert expected_rp_rhs(net, theta, eta, batch, batches, seed,
+                           grid=QuadratureGrid(np.array([1.0]))) == want
+
+
 def test_expected_rp_can_go_positive_mid_training():
     # frozen replica: relu net driven hard by SGD keeps decreasing the loss in
     # the long run even though the expected one-step progress turns positive

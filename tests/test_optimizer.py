@@ -8,6 +8,7 @@ from gdscope import (
     MetricSample,
     OptimizerConfig,
     Quadratic,
+    QuadratureGrid,
     SynthSpec,
     TanhQuadratic,
     Trajectory,
@@ -17,7 +18,10 @@ from gdscope import (
     grad_floor,
     quadratic_divergence_oracle,
     sgd_run,
+    sharpness,
     synth_dataset,
+    tau_dir_stats,
+    verify_identity,
 )
 
 QUIET = MetricFlags(rp=False, dir=False)
@@ -38,6 +42,15 @@ def test_gd_stability_boundary_outcomes():
     assert converged.outcome == "converged"
     norms = [np.linalg.norm(t) for t in converged.iterates]
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))  # ||theta|| shrinks
+
+
+def test_gd_gradient_floor_does_not_stop_a_diverging_run():
+    # at loss ~8.5e25 the floor 1e-12*(1+loss) overtakes ||g||, but a step still moves far
+    q = Quadratic(np.diag([40.0, 2.0]))
+    traj = gd_run(q, [1.0, 1.0], OptimizerConfig(eta=2 / 39, max_iter=3000,
+                                                 blowup_threshold=1e30), QUIET)
+    assert traj.outcome == "diverged"
+    assert traj.final_loss >= 1e30
 
 
 def test_gd_flattened_quadratic_never_diverges():
@@ -215,6 +228,21 @@ def test_escape_flattened_quadratic_bounded():
     assert np.all(np.isfinite(res.final_distances))  # escaped without blowing up
 
 
+def test_sgd_records_sharpness_identity_and_tau_sweep():
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
+    grid = QuadratureGrid.default(8)
+    config = OptimizerConfig(eta=0.3, max_iter=3, batch_size=8, seed=4)
+    traj = sgd_run(net, net.init_params(1), config,
+                   MetricFlags(sharpness=True, identity=True, tau_sweep=True, grid=grid),
+                   record_checkpoints=True)
+    assert len(traj.samples) == 4
+    for s, theta in zip(traj.samples, traj.iterates):
+        assert s.sharpness == sharpness(net, theta)
+        assert s.identity_residual == verify_identity(net, theta, 0.3, grid).residual
+        assert (s.tau_dir_mean, s.tau_dir_std) == tau_dir_stats(net, theta, 0.3, grid)
+
+
 def test_sgd_long_run_loss_decreases():
     # canonical desk-scale setting: relu net, batch 32, eta = 2/100
     ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
@@ -354,3 +382,21 @@ def test_gd_evaluates_once_per_iterate(flags, cadence, extra):
     assert traj.outcome == "budget_exhausted"
     # one per iterate 0..steps, plus the terminal sample's look-ahead when rp/dir are on
     assert net.evaluations == steps + 1 + extra
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "sgd"])
+def test_identity_and_tau_sweep_share_one_sweep(algorithm):
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    grid = QuadratureGrid.default(10)
+    counts = []
+    for tau_sweep in (False, True):
+        net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
+        flags = MetricFlags(identity=True, tau_sweep=tau_sweep, grid=grid)
+        run = gd_run if algorithm == "gd" else sgd_run
+        run(net, net.init_params(1),
+            OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8), flags)
+        counts.append(net.evaluations)
+    # gd: 13 iterates and the terminal look-ahead; sgd: 13 epoch samples, each with its
+    # look-ahead. Every sample adds one gradient per tau node and the identity's lhs value.
+    evaluated, samples = (13 + 1, 4) if algorithm == "gd" else (13 * 2, 13)
+    assert counts == [evaluated + samples * (10 + 1)] * 2
