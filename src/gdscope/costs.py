@@ -32,6 +32,14 @@ def as_params(theta, dimension=None) -> np.ndarray:
     return arr
 
 
+def as_finite(x, name: str) -> float:
+    """Validate a scalar parameter: a finite float."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ContractViolation(f"{name} must be finite, got {x}")
+    return x
+
+
 def _finite_or_inf(v: float) -> float:
     # overflow is reported as +Inf, never NaN
     return math.inf if math.isnan(v) else float(v)
@@ -109,7 +117,7 @@ class Quadratic(CostFunction):
         if q is None:
             q = np.zeros(self.dimension)
         self.q = as_params(q, self.dimension)
-        self.r = float(r)
+        self.r = as_finite(r, "r")
         # immutable after construction, so every holder of the cost sees the same P and q
         self.P.setflags(write=False)
         self.q.setflags(write=False)

@@ -34,7 +34,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labs = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2:
             raise ContractViolation(f"features must be 2-D, got shape {feats.shape}")

@@ -219,7 +219,7 @@ def build_cost(spec: ExperimentSpec):
         q = None
         if "q" in sec:
             q = _checked("cost.q", C.as_params, _parse_list(sec.pop("q"), "cost.q"), len(diag))
-        r = parse_number(sec.pop("r", "0"), where="cost.r")
+        r = _checked("cost.r", C.as_finite, parse_number(sec.pop("r", "0"), where="cost.r"), "r")
         quadratic = C.Quadratic if kind == "quadratic" else C.TanhQuadratic
         cost = _checked("cost.p_diag", quadratic, np.diag(diag), q, r)
     elif kind in ("single_neuron_linear", "single_neuron_tanh"):

@@ -156,11 +156,9 @@ def weighted_dir_integral(cost: CostFunction, theta, eta: float,
     return _weighted_integral(taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
 
 
-def _identity(cost, theta, loss, g, gnorm, eta, taus, dirs, include_zero_node=True):
-    """IdentityCheck at an evaluated point, from its tau sweep ``dirs``."""
-    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
-    rhs = -1.0 + 0.5 * eta * _weighted_integral(taus, dirs, include_zero_node)
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+def _identity_rhs(eta, taus, dirs, include_zero_node=True):
+    """The identity's right side -1 + (eta/2) * weighted integral, from the tau sweep ``dirs``."""
+    return -1.0 + 0.5 * eta * _weighted_integral(taus, dirs, include_zero_node)
 
 
 def verify_identity(cost: CostFunction, theta, eta: float,
@@ -171,8 +169,9 @@ def verify_identity(cost: CostFunction, theta, eta: float,
         raise ContractViolation("eta must be positive")
     taus = (grid or QuadratureGrid.default()).taus
     theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
-    dirs = _dir_along(cost, theta, g, g, eta, taus)
-    return _identity(cost, theta, loss, g, gnorm, eta, taus, dirs, include_zero_node)
+    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
+    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
+    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def rp_approx_residual(cost: CostFunction, theta, eta: float) -> float:

@@ -6,6 +6,15 @@ normalization layer a -> a / (eps + ||a||) inserted after the first hidden
 activation. With relu or linear activations and eps = 0 that normalization
 makes the first layer's parameters positively homogeneous, which is the
 hook the stationary-point diagnostics key on.
+
+Evaluation allocates nothing of size (rows x width) once warm. A cost keeps
+one workspace per row count it has evaluated (the dataset size, the
+minibatch size): an activation buffer and a backprop buffer per hidden
+layer, made on first use and kept for the cost's lifetime. Forward and
+backward passes write into them in place, and gradients are written straight
+into the vector that is returned, so returned arrays never alias the
+workspace. Because the workspace is shared state, one cost instance must not
+be evaluated from several threads at once; give each thread its own cost.
 """
 
 from __future__ import annotations
@@ -21,26 +30,11 @@ from .errors import ContractViolation
 _ACTIVATIONS = ("tanh", "relu", "linear")
 
 
-def _act(z, activation):
-    if activation == "tanh":
-        return np.tanh(z)
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _act_deriv(z, activation):
-    if activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if activation == "relu":
-        # subgradient convention: derivative 0 at the kink
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 class MLPCost(CostFunction):
-    """Mean softmax cross-entropy of a dense network over a fixed dataset."""
+    """Mean softmax cross-entropy of a dense network over a fixed dataset.
+
+    Not thread-safe: evaluations reuse the instance's per-row-count workspace.
+    """
 
     kind = "mlp"
 
@@ -72,6 +66,7 @@ class MLPCost(CostFunction):
         self._onehot = np.zeros((dataset.n, dataset.num_classes))
         self._onehot[np.arange(dataset.n), dataset.labels] = 1.0
         self._all_rows = np.arange(dataset.n)
+        self._workspaces = {}  # row count -> _workspace buffers
 
     # --- parameter packing -------------------------------------------------
 
@@ -103,39 +98,63 @@ class MLPCost(CostFunction):
     def num_examples(self) -> int:
         return self.dataset.n
 
-    def _forward(self, theta, idx):
-        """Returns (logits, cache) for the examples selected by idx."""
-        layers = self.unpack(theta)
-        a = self.dataset.features[idx]
-        cache = []
-        last = len(layers) - 1
-        for l, (W, b) in enumerate(layers):
-            z = a @ W.T + b
-            if l == last:
-                cache.append((a, z, None))
-                return z, cache
-            h = _act(z, self.activation)
-            norm_state = None
-            if l == 0 and self.normalize_first:
-                r = np.linalg.norm(h, axis=1, keepdims=True)
+    def _workspace(self, rows):
+        """(activations, backprop signals, normalized first layer or None) for ``rows`` rows.
+
+        One (rows, width) buffer of each kind per hidden layer, made the first
+        time a row count is evaluated and kept for the cost's lifetime.
+        """
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            widths = self.layer_sizes[1:-1]
+            ws = self._workspaces[rows] = (
+                [np.empty((rows, w)) for w in widths],
+                [np.empty((rows, w)) for w in widths],
+                np.empty((rows, widths[0])) if self.normalize_first else None,
+            )
+        return ws
+
+    def _forward(self, layers, idx):
+        """(logits, the input to each layer, normalization state) for the rows idx.
+
+        Hidden activations are computed in place in the workspace; with the
+        normalization layer, the first hidden layer's buffer keeps the
+        activation before normalization and the normalized copy feeds layer 1.
+        """
+        a = self.dataset.features if idx is self._all_rows else self.dataset.features[idx]
+        acts, _, normed = self._workspace(a.shape[0])
+        inputs = []
+        norm_state = None
+        for l, (W, b) in enumerate(layers[:-1]):
+            inputs.append(a)
+            z = np.matmul(a, W.T, out=acts[l])
+            z += b
+            if self.activation == "tanh":
+                np.tanh(z, out=z)
+            elif self.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            a = z
+            if l == 0 and normed is not None:
+                np.multiply(z, z, out=normed)
+                r = np.sqrt(normed.sum(axis=1, keepdims=True))
                 s = self.normalize_eps + r
                 r_safe = np.where(r > 0.0, r, 1.0)
                 s_safe = np.where(s > 0.0, s, 1.0)
-                h_pre = h
-                h = h / s_safe
-                norm_state = (h_pre, r_safe, s_safe)
-            cache.append((a, z, norm_state))
-            a = h
-        raise AssertionError("unreachable")
+                a = np.divide(z, s_safe, out=normed)
+                norm_state = (r_safe, s_safe)
+        W, b = layers[-1]
+        inputs.append(a)
+        return a @ W.T + b, inputs, norm_state
 
     def _loss_from_logits(self, logits, idx):
+        labels = self.dataset.labels if idx is self._all_rows else self.dataset.labels[idx]
         m = logits.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        picked = logits[np.arange(len(idx)), self.dataset.labels[idx]]
+        picked = logits[np.arange(len(idx)), labels]
         return float(np.mean(lse - picked))
 
     def value(self, theta) -> float:
-        logits, _ = self._forward(theta, self._all_rows)
+        logits, _, _ = self._forward(self.unpack(theta), self._all_rows)
         return _finite_or_inf(self._loss_from_logits(logits, self._all_rows))
 
     def gradient(self, theta) -> np.ndarray:
@@ -156,48 +175,57 @@ class MLPCost(CostFunction):
         return self._backprop(theta, idx)[1]
 
     def _backprop(self, theta, idx, with_loss=False):
-        """(value over the rows idx, or None without with_loss; gradient) from one forward pass."""
-        logits, cache = self._forward(theta, idx)
+        """(value over the rows idx, or None without with_loss; gradient) from one forward pass.
+
+        Each layer's weight and bias gradients are written straight into their
+        slices of the returned vector. Once a layer's weight gradient is taken,
+        the activation stored for it is overwritten by the activation's
+        derivative, which is computed from the activation itself.
+        """
+        layers = self.unpack(theta)
+        logits, inputs, norm_state = self._forward(layers, idx)
         loss = _finite_or_inf(self._loss_from_logits(logits, idx)) if with_loss else None
 
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        probs = e / e.sum(axis=1, keepdims=True)
-        d_z = (probs - self._onehot[idx]) / idx.size
+        d_z = logits  # softmax minus one-hot, over the rows, in place
+        d_z -= d_z.max(axis=1, keepdims=True)
+        np.exp(d_z, out=d_z)
+        d_z /= d_z.sum(axis=1, keepdims=True)
+        d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]
+        d_z /= idx.size
 
-        layers = self.unpack(theta)
-        grads = [None] * len(layers)
+        acts, backs, normed = self._workspace(d_z.shape[0])
+        grad = np.empty(self.dimension)
+        grads = self.unpack(grad)
         for l in range(len(layers) - 1, -1, -1):
-            a_in = cache[l][0]
-            W, _ = layers[l]
-            dW = d_z.T @ a_in
-            db = d_z.sum(axis=0)
-            grads[l] = (dW, db)
+            dW, db = grads[l]
+            np.matmul(d_z.T, inputs[l], out=dW)
+            db[:] = d_z.sum(axis=0)
             if l == 0:
                 break
-            d_a = d_z @ W
-            if cache[l - 1][2] is not None:
-                # d_a is w.r.t. the normalized output of layer l-1
-                h_pre, r_safe, s_safe = cache[l - 1][2]
-                inner = (d_a * h_pre).sum(axis=1, keepdims=True)
-                d_a = d_a / s_safe - h_pre * (inner / (r_safe * s_safe**2))
-            d_z = d_a * _act_deriv(cache[l - 1][1], self.activation)
-
-        flat = []
-        for dW, db in grads:
-            flat.append(dW.ravel())
-            flat.append(db)
-        return loss, np.concatenate(flat)
+            d_a = np.matmul(d_z, layers[l][0], out=backs[l - 1])
+            h = acts[l - 1]
+            if l == 1 and norm_state is not None:
+                # d_a is w.r.t. the normalized output, whose buffer is free now that
+                # layer 1's dW is taken
+                r_safe, s_safe = norm_state
+                inner = np.multiply(d_a, h, out=normed).sum(axis=1, keepdims=True)
+                d_a /= s_safe
+                d_a -= np.multiply(h, inner / (r_safe * s_safe**2), out=normed)
+            if self.activation == "tanh":
+                np.multiply(h, h, out=h)
+                d_a *= np.subtract(1.0, h, out=h)
+            elif self.activation == "relu":
+                # subgradient convention: derivative 0 at the kink
+                d_a *= np.greater(h, 0.0, out=h)
+            d_z = d_a
+        return loss, grad
 
     def logits(self, theta, idx=None) -> np.ndarray:
-        if idx is None:
-            idx = self._all_rows
-        out, _ = self._forward(theta, np.asarray(idx, dtype=np.intp))
-        return out
+        idx = self._all_rows if idx is None else np.asarray(idx, dtype=np.intp)
+        return self._forward(self.unpack(theta), idx)[0]
 
     def accuracy(self, theta) -> float:
         """Training accuracy; argmax ties resolve to the lower class index."""
         logits = self.logits(theta)
         pred = np.argmax(logits, axis=1)
         return float(np.mean(pred == self.dataset.labels))
-

@@ -10,8 +10,9 @@ identical inputs, trajectories are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -72,12 +73,44 @@ class MetricFlags:
     expected_rp_batches: int = 64
 
 
+class SampleTable(Sequence):
+    """A finished run's samples, read-only and stored by column.
+
+    One float64 column per metric field plus a mask of the defined (non-None)
+    entries: 80 bytes a sample, where a list of MetricSample objects holds
+    about 280. Indexing builds the MetricSample.
+    """
+
+    _FIELDS = tuple(f.name for f in fields(M.MetricSample) if f.name != "iteration")
+
+    def __init__(self, samples):
+        cells = [[getattr(s, name) for name in self._FIELDS] for s in samples]
+        shape = (len(cells), len(self._FIELDS))
+        self._iterations = np.array([s.iteration for s in samples], dtype=np.int64)
+        self._defined = np.array([[c is not None for c in row] for row in cells],
+                                 dtype=bool).reshape(shape)
+        self._values = np.array([[math.nan if c is None else c for c in row] for row in cells],
+                                dtype=np.float64).reshape(shape)
+
+    def __len__(self):
+        return self._iterations.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        cells = zip(self._values[i].tolist(), self._defined[i].tolist())
+        return M.MetricSample(int(self._iterations[i]), *(v if d else None for v, d in cells))
+
+
 @dataclass
 class Trajectory:
-    samples: List[M.MetricSample]
+    samples: Sequence[M.MetricSample]  # kept as a SampleTable
     final_theta: np.ndarray
     outcome: str
     iterates: Optional[list] = None  # populated when the caller asks to record them
+
+    def __post_init__(self):
+        self.samples = SampleTable(self.samples)
 
     @property
     def final_loss(self) -> float:
@@ -97,32 +130,42 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
 
 
 def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
-    """The sample at iterate t, whether rp/dir are defined, and the step they wait on (or None)."""
+    """The sample at iterate t, whether rp/dir are defined, and what it owes (or None).
+
+    It owes (step, rhs): rp, dir and the identity's left side wait on the loss and
+    gradient at theta - step, step = eta*g; rhs is the identity's right side, or None.
+    """
     sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
-    step = eta * g if defined and (flags.rp or flags.dir) else None
+    step = eta * g if defined and (flags.rp or flags.dir or flags.identity) else None
     if step is not None and flags.dir and not 0.0 < float(step @ step) < math.inf:
         raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
+    rhs = None
     if defined and (flags.identity or flags.tau_sweep):  # one tau sweep serves both
         taus = (flags.grid or M.QuadratureGrid.default()).taus
         dirs = M._dir_along(cost, theta, g, g, eta, taus)
         if flags.identity:
-            sample.identity_residual = M._identity(
-                cost, theta, loss, g, gnorm, eta, taus, dirs).residual
+            rhs = M._identity_rhs(eta, taus, dirs)
         if flags.tau_sweep:
             sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
     if flags.sharpness and math.isfinite(loss):
         sample.sharpness = M.sharpness(
             cost, theta, flags.sharpness_tol, flags.sharpness_max_iter
         )
-    return sample, defined, step
+    return sample, defined, (None if step is None else (step, rhs))
 
 
-def _finish_step(sample, step, g, next_loss, next_g, eta, flags):
-    """rp and dir along ``step`` = eta*g from the loss and gradient at theta - step."""
+def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
+    """rp, dir and the identity residual along step = eta*g, from the loss and gradient
+    at theta - step."""
+    step, rhs = owes
     try:
-        if flags.rp:
-            sample.rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)
+        if flags.rp or rhs is not None:
+            rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
+            if flags.rp:
+                sample.rp = rp
+            if rhs is not None:
+                sample.identity_residual = abs(rp - rhs)
         if flags.dir:
             sample.dir = float(step @ (g - next_g)) / float(step @ step)
     except ZeroDivisionError as exc:
@@ -134,15 +177,16 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     """Exact deterministic gradient descent with per-cadence instrumentation.
 
     One ``value_and_gradient`` per iterate: theta - eta*g is exactly the next
-    iterate, so rp and dir are filled in one step late, and only the terminal
-    sample evaluates one iterate ahead.
+    iterate, so rp, dir and the identity residual (whose left side is rp) are
+    filled in one step late, and only the terminal sample evaluates one
+    iterate ahead.
     """
     flags = flags or MetricFlags()
     theta = as_params(theta0, cost.dimension)
     cadence = config.cadence_for(cost)
     samples: list = []
     iterates = [] if record_iterates else None
-    owed = None  # (sample, step, g) waiting on the next iterate
+    owed = None  # (sample, what it owes, g) waiting on the next iterate
 
     for t in range(config.max_iter + 1):
         loss, g = cost.value_and_gradient(theta)
@@ -159,10 +203,11 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
         if at_cadence or terminal:
             try:
-                sample, _, step = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
-                owed = (sample, step, g) if step is not None else None
+                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+                owed = (sample, owes, g) if owes is not None else None
                 if owed and terminal:  # look one iterate ahead
-                    _finish_step(*owed, *cost.value_and_gradient(theta - step), config.eta, flags)
+                    _finish_step(*owed, *cost.value_and_gradient(theta - owes[0]),
+                                 config.eta, flags)
             except Exception as exc:
                 raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
             samples.append(sample)
@@ -200,9 +245,9 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         loss, g = cost.value_and_gradient(theta)
         gnorm = float(np.linalg.norm(g))
         try:
-            sample, defined, owed = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
-            if owed is not None:  # look one iterate ahead, as gd_run's terminal sample does
-                _finish_step(sample, owed, g, *cost.value_and_gradient(theta - owed),
+            sample, defined, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+            if owes is not None:  # look one iterate ahead, as gd_run's terminal sample does
+                _finish_step(sample, owes, g, *cost.value_and_gradient(theta - owes[0]),
                              config.eta, flags)
             if defined and flags.expected_rp:
                 sample.rp, _ = M.expected_rp(cost, theta, config.eta, batch,

@@ -19,6 +19,7 @@ name = bad-quad
 kind = quadratic
 p_diag = {p_diag}
 {q}
+r = {r}
 weight_decay = {weight_decay}
 
 [init]
@@ -53,7 +54,7 @@ eta = 0.1
 max_iter = 2
 """
 
-GOOD = dict(p_diag="40, 2", q="", weight_decay="0", theta0="1, 1", eta="0.01",
+GOOD = dict(p_diag="40, 2", q="", r="0", weight_decay="0", theta0="1, 1", eta="0.01",
             stop_accuracy="1", blowup_threshold="1e12", hidden="4", activation="tanh",
             normalize_eps="0", spread="0.9")
 
@@ -87,6 +88,7 @@ MALFORMED = {
     "theta0": (QUAD, _with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4]), "init.theta0"),
     "q": (QUAD, (_with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4])).map(lambda t: f"q = {t}"),
           "cost.q"),
+    "r": (QUAD, NON_FINITE.map(_num), "cost.r"),
     "weight_decay": (QUAD, (st.floats(max_value=0.0, exclude_max=True) | NON_FINITE).map(_num),
                      "cost.weight_decay"),
     "hidden": (MLP, st.integers(max_value=0).map(str)

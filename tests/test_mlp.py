@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,90 @@ def test_layer_shape_validation(blob_dataset):
         MLPCost(blob_dataset, hidden_sizes=(4,), activation="swish")
     with pytest.raises(ContractViolation):
         MLPCost(blob_dataset, hidden_sizes=(), activation="relu", normalize_first=True)
+
+
+NETS = [
+    dict(activation="tanh"),
+    dict(activation="relu"),
+    dict(activation="linear"),
+    dict(activation="tanh", normalize_first=True, normalize_eps=0.1),
+    dict(activation="relu", normalize_first=True),
+    dict(activation="linear", normalize_first=True),
+]
+
+
+def _calls(net, rng):
+    """An interleaved sequence of (name, call) over every entry point and several row counts."""
+    thetas = [net.init_params(s) + 0.3 * rng.standard_normal(net.dimension) for s in range(3)]
+    batches = [rng.integers(0, net.dataset.n, size=k) for k in (32, 7, 32)]
+    v = rng.standard_normal(net.dimension)
+    return [
+        ("gradient", lambda: net.gradient(thetas[0])),
+        ("stochastic_gradient/32", lambda: net.stochastic_gradient(thetas[1], batches[0])),
+        ("value", lambda: net.value(thetas[2])),
+        ("hvp", lambda: net.hvp(thetas[0], v)),
+        ("value_and_gradient", lambda: net.value_and_gradient(thetas[1])),
+        ("logits", lambda: net.logits(thetas[2])),
+        ("stochastic_gradient/7", lambda: net.stochastic_gradient(thetas[0], batches[1])),
+        ("logits/7", lambda: net.logits(thetas[1], batches[1])),
+        ("stochastic_gradient/32 again", lambda: net.stochastic_gradient(thetas[2], batches[2])),
+        ("gradient again", lambda: net.gradient(thetas[1])),
+        ("accuracy", lambda: net.accuracy(thetas[0])),
+    ]
+
+
+def _flat(result):
+    if isinstance(result, tuple):
+        return np.concatenate([np.atleast_1d(np.asarray(r, dtype=np.float64)) for r in result])
+    return np.atleast_1d(np.asarray(result, dtype=np.float64))
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_workspace_reuse_matches_a_fresh_cost(blob_dataset, kw):
+    # one cost reused across calls must give the bits a freshly built cost gives for each call
+    shared = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    reused = _calls(shared, np.random.default_rng(4))
+    for i, (name, call) in enumerate(reused):
+        got = call()
+        fresh = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+        want = _calls(fresh, np.random.default_rng(4))[i][1]()
+        assert np.array_equal(_flat(got), _flat(want), equal_nan=True), name
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_returned_arrays_do_not_alias_the_workspace(blob_dataset, kw):
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    rng = np.random.default_rng(5)
+    theta = net.init_params(1)
+    kept = [
+        net.gradient(theta),
+        net.value_and_gradient(theta)[1],
+        net.stochastic_gradient(theta, np.arange(32)),
+        net.hvp(theta, rng.standard_normal(net.dimension)),
+        net.logits(theta),
+        net.logits(theta, np.arange(7)),
+    ]
+    snapshots = [k.copy() for k in kept]
+    for _, call in _calls(net, rng):
+        call()
+    for k, snap in zip(kept, snapshots):
+        assert np.array_equal(k, snap)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts page faults on Linux")
+def test_warm_value_and_gradient_does_not_page_fault():
+    # each call used to map its (rows x width) temporaries afresh: 272 faults per call here
+    import resource
+
+    ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
+    net = MLPCost(ds, hidden_sizes=(32, 32), activation="tanh")
+    theta = net.init_params(7)
+    for _ in range(5):
+        net.value_and_gradient(theta)
+    calls = 100
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        net.value_and_gradient(theta)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 5, faults

@@ -149,6 +149,23 @@ def test_sgd_records_epoch_checkpoints():
     assert iters[-1] == 5 * 4  # 32/8 steps per epoch
 
 
+def test_trajectory_keeps_its_samples_by_column():
+    samples = [
+        MetricSample(iteration=0, loss=2.5, grad_norm=1.0, rp=-0.25, dir=3.0),
+        MetricSample(iteration=7, loss=float("inf"), grad_norm=0.5, sharpness=4.0,
+                     identity_residual=1e-300, tau_dir_mean=-0.0, tau_dir_std=0.0),
+        MetricSample(iteration=10_000, loss=1.0, grad_norm=2.0),
+    ]
+    traj = Trajectory(samples, np.zeros(2), "converged")
+    assert list(traj.samples) == samples and len(traj.samples) == 3
+    assert traj.samples[-1] == samples[-1] and traj.samples[1:] == samples[1:]
+    assert all(type(v) in (int, float, type(None))
+               for s in traj.samples for v in (s.iteration, s.loss, s.rp, s.tau_dir_mean))
+    assert str(traj.samples[1].tau_dir_mean) == "-0.0"  # the bits survive, sign of zero included
+    assert traj.final_loss == 1.0
+    assert len(Trajectory([], np.zeros(2), "converged").samples) == 0
+
+
 # --- regime classification ---------------------------------------------------
 
 
@@ -397,6 +414,29 @@ def test_identity_and_tau_sweep_share_one_sweep(algorithm):
             OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8), flags)
         counts.append(net.evaluations)
     # gd: 13 iterates and the terminal look-ahead; sgd: 13 epoch samples, each with its
-    # look-ahead. Every sample adds one gradient per tau node and the identity's lhs value.
+    # look-ahead. Every sample adds one gradient per tau node; the identity's left side
+    # is the next iterate's loss, which is evaluated anyway.
     evaluated, samples = (13 + 1, 4) if algorithm == "gd" else (13 * 2, 13)
-    assert counts == [evaluated + samples * (10 + 1)] * 2
+    assert counts == [evaluated + samples * 10] * 2
+
+
+@pytest.mark.parametrize("rp_dir", [True, False])
+@pytest.mark.parametrize("algorithm", ["gd", "sgd"])
+def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorithm, rp_dir):
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
+    grid = QuadratureGrid.default(10)
+    flags = MetricFlags(rp=rp_dir, dir=rp_dir, identity=True, grid=grid)
+    config = OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8)
+    if algorithm == "gd":
+        traj = gd_run(net, net.init_params(1), config, flags, record_iterates=True)
+        thetas = [traj.iterates[s.iteration] for s in traj.samples]
+    else:
+        traj = sgd_run(net, net.init_params(1), config, flags, record_checkpoints=True)
+        thetas = traj.iterates
+    # the same count with rp and dir off: the identity alone owes the look-ahead
+    assert net.evaluations == (13 + 1 + 4 * 10 if algorithm == "gd" else 13 * 2 + 13 * 10)
+    assert len(traj.samples) == (4 if algorithm == "gd" else 13)
+    for s, theta in zip(traj.samples, thetas, strict=True):
+        assert s.identity_residual == verify_identity(net, theta, 0.5, grid).residual
+        assert (s.rp is not None) == rp_dir and (s.dir is not None) == rp_dir
