@@ -303,7 +303,7 @@ def sgd_expected_rp() -> CriterionResult:
 
 
 def sharpness_estimator() -> CriterionResult:
-    """Two-phase power iteration vs the dense Jacobi eigensolver, indefinite included."""
+    """Certified Lanczos vs the dense Jacobi eigensolver, indefinite included."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for k in range(50):

@@ -14,10 +14,10 @@ class ZeroDirectionError(RuntimeError):
 
 
 class PowerIterationError(RuntimeError):
-    """Eigenvalue iteration failed to converge within the iteration budget.
+    """Lanczos did not certify a Ritz residual within the iteration budget.
 
-    Carries the last Rayleigh quotient seen, so callers can decide whether
-    the partial estimate is still usable.
+    Carries the Rayleigh quotient x.Hx of the last top Ritz vector x, so
+    callers can decide whether the partial estimate is still usable.
     """
 
     def __init__(self, message, last_rayleigh):

@@ -194,66 +194,58 @@ def tau_dir_stats(cost: CostFunction, theta, eta: float,
 # --- sharpness ---------------------------------------------------------------
 
 
-def _phase1_magnitude(matvec, dim, tol, max_iter, rng):
-    """Upper-converging estimate of the spectral radius |lambda|_max.
-
-    Tracks ||H x_t|| for normalized iterates, which is robust even when the
-    two extreme eigenvalues have equal magnitude and opposite sign.
-    """
-    x = rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    best = 0.0
-    prev = math.inf
-    for _ in range(max_iter):
-        y = matvec(x)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            break
-        best = max(best, ny)
-        if abs(ny - prev) <= tol * (1.0 + ny):
-            break
-        prev = ny
-        x = y / ny
-    return best
-
-
 def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
               max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest Hessian eigenvalue at theta by two-phase matrix-free iteration.
+    """Largest Hessian eigenvalue at theta by Lanczos with a certified Ritz residual.
 
-    Phase 1 estimates the spectral radius s; phase 2 runs power iteration on
-    H + (s+1) I, whose eigenvalues are all positive with the largest equal to
-    lambda_max + s + 1, so the shift-back is exact even for indefinite H.
-    Converged when successive Rayleigh quotients differ by <= tol * (1+|lam|).
+    Builds an orthonormal Krylov basis from a seeded random vector, one hvp a
+    step, reorthogonalizing each new vector against the whole basis (two
+    Gram-Schmidt passes). The Ritz values are the eigenvalues of the k x k
+    tridiagonal, so indefinite Hessians need no shift. When the top Ritz
+    pair (lam, x) has recurrence residual |beta_k s_k| <= tol * (1+|lam|),
+    one more hvp checks ||H x - lam x|| against the same bound, and lam is
+    returned only if that holds too: the recurrence's own residual certifies
+    nothing when the hvp is not a symmetric linear map. Runs at most
+    min(max_iter, dim) steps.
 
     For costs that are not C^2 (relu networks) the Hessian-vector product is
     a finite-difference surrogate and the returned value inherits that status.
     """
     if tol <= 0:
         raise ContractViolation("tol must be positive")
+    if max_iter < 1:
+        raise ContractViolation("max_iter must be >= 1")
     theta = as_params(theta, cost.dimension)
-    matvec = lambda v: cost.hvp(theta, v)
-    rng = np.random.default_rng(np.uint64(seed))
-
-    s = _phase1_magnitude(matvec, cost.dimension, tol, max_iter, rng)
-    shift = s + 1.0
-
-    x = rng.standard_normal(cost.dimension)
-    x /= np.linalg.norm(x)
-    lam_prev = math.inf
-    lam = math.inf
-    for _ in range(max_iter):
-        y = matvec(x) + shift * x
-        lam = float(x @ y) - shift
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return -shift  # x is an exact eigenvector of the shifted operator
-        x = y / ny
-        if abs(lam - lam_prev) <= tol * (1.0 + abs(lam)):
+    dim = cost.dimension
+    steps = min(max_iter, dim)
+    v = np.random.default_rng(np.uint64(seed)).standard_normal(dim)
+    basis = np.empty((min(16, steps), dim))  # rows; doubled as it fills
+    basis[0] = v / np.linalg.norm(v)
+    alphas, betas = [], []
+    for k in range(steps):
+        V = basis[:k + 1]
+        w = cost.hvp(theta, V[k])
+        alphas.append(float(V[k] @ w))
+        for _ in range(2):
+            w -= (V @ w) @ V
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, S = np.linalg.eigh(T)
+        lam, s = float(ritz[-1]), S[:, -1]
+        x = s @ V
+        bound = tol * (1.0 + abs(lam))
+        if abs(beta * s[-1]) <= bound \
+                and np.linalg.norm(cost.hvp(theta, x) - lam * x) <= bound:
             return lam
-        lam_prev = lam
+        if beta == 0.0 or k + 1 == steps:
+            break
+        if k + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k + 1, steps - k - 1), dim))))
+        basis[k + 1] = w / beta
+        betas.append(beta)
     raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", lam
+        f"Lanczos did not certify a Ritz residual <= {tol:g}*(1+|lam|) "
+        f"in {k + 1} steps", float(x @ cost.hvp(theta, x))
     )
 
 

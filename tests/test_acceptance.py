@@ -16,8 +16,8 @@ RUNTIME_BUDGETS_S = {
     "edge-oscillation": 1.0,
     "flattened-quadratic-bounded": 1.0,
     "single-neuron-dichotomy": 5.0,
-    "regime-signatures": 300.0,  # shared budget with the segment bound below
-    "segment-sharpness-bound": 300.0,
+    "regime-signatures": 20.0,  # shared budget with the segment bound below
+    "segment-sharpness-bound": 20.0,
     "homogeneous-block-gradient": 10.0,
     "sgd-expected-rp": 600.0,
     "sharpness-estimator": 5.0,

@@ -254,17 +254,64 @@ def test_sharpness_psd_quadratic():
 
 
 def test_sharpness_indefinite_needs_the_shift():
-    # plain power iteration would lock onto |-5|; the shifted phase must report 3
+    # power iteration would lock onto |-5|; the top Ritz value must be 3
     cost = Quadratic(np.diag([-5.0, 3.0]))
     assert sharpness(cost, [1.0, 1.0], tol=1e-12) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_sharpness_nonconvergence_carries_rayleigh():
-    # near-degenerate top pair converges too slowly for the budget
+    # Lanczos is exact on a dim-3 matrix within 3 steps; a budget of 2 is not
     cost = Quadratic(np.diag([10.0, 9.99, 1.0]))
     with pytest.raises(PowerIterationError) as kept:
-        sharpness(cost, [1.0, 1.0, 1.0], tol=1e-15, max_iter=50)
+        sharpness(cost, [1.0, 1.0, 1.0], tol=1e-15, max_iter=2)
     assert math.isfinite(kept.value.last_rayleigh)
+
+
+def test_sharpness_rejects_bad_tol_and_budget():
+    cost = Quadratic(np.diag([10.0, 1.0]))
+    for kwargs in ({"tol": 0.0}, {"max_iter": 0}, {"max_iter": -3}):
+        with pytest.raises(ContractViolation):
+            sharpness(cost, [1.0, 1.0], **kwargs)
+
+
+class SkewHvp(CostFunction):
+    """A stub whose hvp is linear but not symmetric: no Hessian has this action."""
+
+    kind = "skew_hvp"
+    dimension = 3
+    A = np.array([[1.0, 10.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]])
+
+    def value(self, theta):
+        return 0.0
+
+    def gradient(self, theta):
+        return np.zeros(3)
+
+    def hvp(self, theta, v):
+        return self.A @ v
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sharpness_refuses_a_non_symmetric_hvp(seed):
+    # the top eigenvalue is 2; stopping on the recurrence residual alone returns
+    # 2.55 to 9.98 here, depending on the seed
+    with pytest.raises(PowerIterationError) as kept:
+        sharpness(SkewHvp(), np.zeros(3), seed=seed)
+    assert math.isfinite(kept.value.last_rayleigh)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_sharpness_resolves_a_close_top_pair(tol):
+    # the top pair of the acceptance run's iterate 15: stopping on the change in
+    # successive estimates read 2.5e-2 low at tol 1e-4 on this spectrum
+    top = 1.0341
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        lams = np.concatenate(([top, 1.006], rng.uniform(-0.5, 0.9, 198)))
+        Qm, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        P = (Qm * lams) @ Qm.T
+        got = sharpness(Quadratic(0.5 * (P + P.T)), np.zeros(200), tol=tol, seed=seed)
+        assert abs(got - top) / top <= tol, (seed, got)
 
 
 def test_segment_max_sharpness_constant_hessian():

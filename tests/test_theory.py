@@ -162,18 +162,39 @@ def test_orthogonality_requires_nonzero_zeta(norm_layer_net):
         homogeneity_orthogonality(norm_layer_net, theta)
 
 
+def _eps_scaled_relu_net(eps):
+    """A normalized relu net with first-layer activations put at the eps scale."""
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    net = MLPCost(ds, hidden_sizes=(6, 4), activation="relu",
+                  normalize_first=True, normalize_eps=eps)
+    theta = net.init_params(3)
+    theta[: 6 * 4 + 6] *= eps
+    return net, theta
+
+
 def test_eps_regularized_normalization_sharpens_as_eps_shrinks():
     # near ||a|| ~ eps the curvature blows up like 1/eps; no constant is pinned,
     # only the qualitative growth
-    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     measured = []
     for eps in (1e-1, 1e-2):
-        net = MLPCost(ds, hidden_sizes=(6, 4), activation="relu",
-                       normalize_first=True, normalize_eps=eps)
-        theta = net.init_params(3)
-        theta[: 6 * 4 + 6] *= eps  # put first-layer activations at the eps scale
+        net, theta = _eps_scaled_relu_net(eps)
         measured.append(sharpness(net, theta, tol=1e-5, max_iter=50_000))
     assert measured[1] > 10 * measured[0]
+
+
+def test_relu_sharpness_matches_dense_central_difference_hessian():
+    # pre-activations here are small enough that a cbrt(eps)-scaled hvp step
+    # straddles relu kinks and reads 1281; the dense reference is about 140
+    net, theta = _eps_scaled_relu_net(1e-2)
+    h = 1e-7
+    H = np.empty((net.dimension, net.dimension))
+    for j in range(net.dimension):
+        e = np.zeros(net.dimension)
+        e[j] = h
+        H[:, j] = (net.gradient(theta + e) - net.gradient(theta - e)) / (2 * h)
+    dense = jacobi_spectrum(0.5 * (H + H.T)).lambda_max
+    got = sharpness(net, theta, tol=1e-5, max_iter=50_000)
+    assert abs(got - dense) <= 1e-4 * abs(dense)
 
 
 # --- closed forms ---------------------------------------------------------------
