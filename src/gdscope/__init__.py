@@ -20,6 +20,7 @@ from .errors import (
 from .metrics import (
     MetricSample,
     QuadratureGrid,
+    SharpnessEstimate,
     directional_smoothness,
     expected_rp,
     expected_rp_rhs,

@@ -16,8 +16,9 @@ the iterates oscillate. They are tied together by an exact identity,
 which this module verifies numerically by trapezoidal quadrature on a tau
 grid, with the tau -> 0 endpoint linearly extrapolated from the two smallest
 grid points. Sharpness (largest Hessian eigenvalue) is estimated matrix-free
-by two-phase shifted power iteration, and the stochastic analogues of rp are
-estimated by Monte Carlo over minibatches.
+by Lanczos with a certified Ritz residual; along a step segment each point
+is warm-started from the previous point's Ritz vector. The stochastic
+analogues of rp are estimated by Monte Carlo over minibatches.
 
 All functions are pure given (cost, theta, parameters, seed); sweeps reduce
 in a fixed order so repeated calls are bit-identical.
@@ -194,12 +195,31 @@ def tau_dir_stats(cost: CostFunction, theta, eta: float,
 # --- sharpness ---------------------------------------------------------------
 
 
+RHO = 0.1  # weight of the seeded random direction mixed into a warm start
+
+
+class SharpnessEstimate(float):
+    """A certified top Ritz value, carrying the work that certified it.
+
+    ``vector`` is the unit Ritz vector x, ``hvps`` counts every hvp made (the
+    certifying ones included), ``steps`` the Lanczos steps taken and
+    ``residual`` the explicit ||H x - lam x|| that certified the value.
+    """
+
+    __slots__ = ("vector", "hvps", "steps", "residual")
+
+    def __new__(cls, value, vector, hvps, steps, residual):
+        self = super().__new__(cls, value)
+        self.vector, self.hvps, self.steps, self.residual = vector, hvps, steps, residual
+        return self
+
+
 def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
-              max_iter: int = 10_000, seed: int = 0) -> float:
+              max_iter: int = 10_000, seed: int = 0, start=None) -> SharpnessEstimate:
     """Largest Hessian eigenvalue at theta by Lanczos with a certified Ritz residual.
 
-    Builds an orthonormal Krylov basis from a seeded random vector, one hvp a
-    step, reorthogonalizing each new vector against the whole basis (two
+    Builds an orthonormal Krylov basis from a start vector, one hvp a step,
+    reorthogonalizing each new vector against the whole basis (two
     Gram-Schmidt passes). The Ritz values are the eigenvalues of the k x k
     tridiagonal, so indefinite Hessians need no shift. When the top Ritz
     pair (lam, x) has recurrence residual |beta_k s_k| <= tol * (1+|lam|),
@@ -207,6 +227,12 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
     returned only if that holds too: the recurrence's own residual certifies
     nothing when the hvp is not a symmetric linear map. Runs at most
     min(max_iter, dim) steps.
+
+    The start vector is the seeded random unit vector r, or, given ``start``
+    (say the Ritz vector of a nearby point), start/||start|| + RHO * r. The
+    random part keeps every eigendirection in the Krylov space: a start that
+    is exactly an eigenvector would certify that eigenpair even when it is
+    not the top one.
 
     For costs that are not C^2 (relu networks) the Hessian-vector product is
     a finite-difference surrogate and the returned value inherits that status.
@@ -219,12 +245,22 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
     dim = cost.dimension
     steps = min(max_iter, dim)
     v = np.random.default_rng(np.uint64(seed)).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    if start is not None:
+        start = as_params(start, dim)
+        norm_start = float(np.linalg.norm(start))
+        if norm_start == 0.0:
+            raise ContractViolation("sharpness start vector must be nonzero")
+        v = start / norm_start + RHO * v
+        v /= np.linalg.norm(v)
     basis = np.empty((min(16, steps), dim))  # rows; doubled as it fills
-    basis[0] = v / np.linalg.norm(v)
+    basis[0] = v
     alphas, betas = [], []
+    hvps = 0
     for k in range(steps):
         V = basis[:k + 1]
         w = cost.hvp(theta, V[k])
+        hvps += 1
         alphas.append(float(V[k] @ w))
         for _ in range(2):
             w -= (V @ w) @ V
@@ -234,9 +270,11 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
         lam, s = float(ritz[-1]), S[:, -1]
         x = s @ V
         bound = tol * (1.0 + abs(lam))
-        if abs(beta * s[-1]) <= bound \
-                and np.linalg.norm(cost.hvp(theta, x) - lam * x) <= bound:
-            return lam
+        if abs(beta * s[-1]) <= bound:
+            hvps += 1
+            residual = float(np.linalg.norm(cost.hvp(theta, x) - lam * x))
+            if residual <= bound:
+                return SharpnessEstimate(lam, x, hvps, k + 1, residual)
         if beta == 0.0 or k + 1 == steps:
             break
         if k + 1 == len(basis):
@@ -253,16 +291,22 @@ def segment_max_sharpness(cost: CostFunction, theta, eta: float, samples: int = 
                           tol: float = 1e-6, max_iter: int = 10_000, seed: int = 0) -> float:
     """Max sharpness over equally spaced points of [theta, theta - eta*grad].
 
-    A sampled lower bound on the true segment supremum.
+    A sampled lower bound on the true segment supremum. The first point is
+    theta itself, estimated from a cold start, so it equals
+    ``sharpness(cost, theta, tol, max_iter, seed)``; each later point starts
+    from the previous point's Ritz vector plus a random component (see
+    ``sharpness``). Returns a plain float.
     """
     if samples < 2:
         raise ContractViolation("need samples >= 2")
     theta, _, g, _ = _gradient_above_floor(cost, theta)
     step = -eta * g
-    best = -math.inf
-    for i in range(samples):
+    est = sharpness(cost, theta, tol, max_iter, seed)
+    best = float(est)
+    for i in range(1, samples):
         point = theta + (i / (samples - 1)) * step
-        best = max(best, sharpness(cost, point, tol, max_iter, seed))
+        est = sharpness(cost, point, tol, max_iter, seed, start=est.vector)
+        best = max(best, float(est))
     return best
 
 

@@ -149,9 +149,9 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
         if flags.tau_sweep:
             sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
     if flags.sharpness and math.isfinite(loss):
-        sample.sharpness = M.sharpness(
+        sample.sharpness = float(M.sharpness(
             cost, theta, flags.sharpness_tol, flags.sharpness_max_iter
-        )
+        ))  # the value only: the estimate's Ritz vector is not kept per sample
     return sample, defined, (None if step is None else (step, rhs))
 
 

@@ -1,7 +1,7 @@
 """Closed-form analytic oracles for quadratic dynamics and homogeneity.
 
 Everything here is independent ground truth: a dense symmetric eigensolver
-built from cyclic Jacobi rotations, the divergence criterion for quadratics,
+built from round-robin Jacobi rotations, the divergence criterion for quadratics,
 exact eigenmode traces of the GD recurrence, and the orthogonality identity
 satisfied by positively homogeneous parameter blocks. The numerics modules
 are validated against these, never the other way around.
@@ -42,15 +42,38 @@ def _check_symmetric(P) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def jacobi_spectrum(P, max_sweeps=60) -> QuadraticSpectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _round_robin_rounds(n):
+    """Brent-Luk (circle) ordering: n-1 rounds (n even) of n/2 disjoint pairs.
 
-    Sweeps until the off-diagonal Frobenius mass drops below 1e-14 * ||P||_F.
-    Intended for the small dense matrices used as oracles (dimension <= ~100).
+    Round r pairs r with the last index and r+k with r-k (mod n-1), so every
+    pair meets exactly once per sweep; odd n pairs r with a dummy index n,
+    and that pair is dropped. Returns, one row per round, flat indices into
+    an n x n matrix: ``angle`` holds its pairs' (p, q), (p, p) and (q, q)
+    entries, and ``block`` their (p, p), (q, q), (p, q) and (q, p) entries.
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(1, m // 2)[None, :]
+    a = np.concatenate((r, (r + k) % (m - 1)), axis=1)
+    b = np.concatenate((np.full_like(r, m - 1), (r - k) % (m - 1)), axis=1)
+    if n % 2:
+        a, b = a[:, 1:], b[:, 1:]
+    p, q = np.minimum(a, b), np.maximum(a, b)
+    pp, qq, pq, qp = p * n + p, q * n + q, p * n + q, q * n + p
+    return np.concatenate((pq, pp, qq), axis=1), np.concatenate((pp, qq, pq, qp), axis=1)
+
+
+def jacobi_spectrum(P, max_sweeps=60) -> QuadraticSpectrum:
+    """Full eigendecomposition of a symmetric matrix by Jacobi rotations.
+
+    Each sweep is n-1 round-robin rounds; a round rotates its disjoint
+    (p, q) pairs at once, as one rotation J applied as J^T A J. Sweeps until
+    the off-diagonal Frobenius mass drops below 1e-14 * ||P||_F. Intended
+    for the small dense matrices used as oracles (dimension <= ~100).
     """
     A = _check_symmetric(P).copy()
     n = A.shape[0]
-    QT = np.eye(n)  # rows are eigenvector candidates (kept contiguous)
+    QT = np.eye(n)  # rows are eigenvector candidates
     norm_p = float(np.linalg.norm(A))
     if n == 1 or norm_p == 0.0:
         order = np.argsort(np.diag(A))
@@ -61,57 +84,37 @@ def jacobi_spectrum(P, max_sweeps=60) -> QuadraticSpectrum:
     # entries this small cannot push the off-diagonal mass anywhere near the
     # threshold, and leaving them unrotated keeps eigenvectors at full precision
     skip_below = 1e-4 * threshold / n
-    buf = np.empty(n)
-    buf2 = np.empty(n)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A[off_mask]))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip_below:
+    rounds = list(zip(*_round_robin_rounds(n)))
+    eye = np.eye(n)
+    # a skipped pair may have apq == 0, so tau is inf or nan there; its t is set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_sweeps):
+            off = float(np.linalg.norm(A[off_mask]))
+            if off <= threshold:
+                break
+            for angle, block in rounds:
+                apq, app, aqq = A.take(angle).reshape(3, -1)
+                live = np.abs(apq) > skip_below
+                if not live.any():
                     continue
-                app = A[p, p]
-                aqq = A[q, q]
-                # stable rotation angle (Rutishauser)
+                # stable rotation angle (Rutishauser); hypot keeps the root finite
+                # where tau*tau would overflow, giving t = 1/(2 tau) there.
+                # t = 0 makes a skipped pair's rotation exactly the identity.
                 tau = (aqq - app) / (2.0 * apq)
-                if abs(tau) > 1e153:
-                    t = 1.0 / (2.0 * tau)  # tau*tau would overflow; asymptotic root
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                t = np.where(live, 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau)), 0.0)
+                c = 1.0 / np.hypot(1.0, t)
                 s = t * c
-
-                # rotate rows p and q in place, mirror to columns (A symmetric),
-                # then set the 2x2 block from the exact update formulas
-                Ap, Aq = A[p], A[q]
-                np.copyto(buf, Ap)
-                np.multiply(Aq, s, out=buf2)
-                Ap *= c
-                Ap -= buf2
-                Aq *= c
-                buf *= s
-                Aq += buf
-                A[:, p] = Ap
-                A[:, q] = Aq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                Qp, Qq = QT[p], QT[q]
-                np.copyto(buf, Qp)
-                np.multiply(Qq, s, out=buf2)
-                Qp *= c
-                Qp -= buf2
-                Qq *= c
-                buf *= s
-                Qq += buf
-    else:
-        raise RuntimeError(f"Jacobi sweeps did not converge in {max_sweeps} passes")
+                # rows p, q of J^T M are c*M[p] - s*M[q] and s*M[p] + c*M[q]
+                J = eye.copy()
+                J.put(block, np.concatenate((c, c, s, -s)))
+                A = J.T @ A @ J
+                QT = J.T @ QT
+                # each pair's 2x2 block from the exact update formulas
+                shift = t * apq
+                off_pq = np.where(live, 0.0, apq)
+                A.put(block, np.concatenate((app - shift, aqq + shift, off_pq, off_pq)))
+        else:
+            raise RuntimeError(f"Jacobi sweeps did not converge in {max_sweeps} passes")
 
     eigvals = np.diag(A).copy()
     order = np.argsort(eigvals)

@@ -20,7 +20,7 @@ RUNTIME_BUDGETS_S = {
     "segment-sharpness-bound": 20.0,
     "homogeneous-block-gradient": 10.0,
     "sgd-expected-rp": 600.0,
-    "sharpness-estimator": 5.0,
+    "sharpness-estimator": 2.0,
     "escape-experiment": 5.0,
 }
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gdscope import acceptance, metrics
 from gdscope import (
     ContractViolation,
     CostFunction,
@@ -13,6 +14,7 @@ from gdscope import (
     PowerIterationError,
     Quadratic,
     QuadratureGrid,
+    SharpnessEstimate,
     SingleNeuron,
     SynthSpec,
     TanhQuadratic,
@@ -332,6 +334,150 @@ def test_segment_max_dominates_endpoints():
     g = cost.gradient(theta)
     end_b = sharpness(cost, theta - eta * g, tol=1e-8)
     assert seg >= max(end_a, end_b) - 1e-6
+
+
+class CountingHvp:
+    """An hvp that counts its calls; install it with monkeypatch.setattr(cost, "hvp", ...)."""
+
+    def __init__(self, cost):
+        self.calls = 0
+        self._hvp = cost.hvp
+
+    def __call__(self, theta, v):
+        self.calls += 1
+        return self._hvp(theta, v)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_sharpness_estimate_reports_its_work(mid_training_mlp, monkeypatch, warm):
+    rng = np.random.default_rng(8)
+    lams = np.concatenate(([5.0, 4.9], rng.uniform(-3.0, 4.0, 38)))
+    Qm, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    P = (Qm * lams) @ Qm.T
+    net, theta = mid_training_mlp
+    for cost, point, tol in ((Quadratic(0.5 * (P + P.T)), np.zeros(40), 1e-8),
+                             (net, theta, 1e-5)):
+        start = rng.standard_normal(cost.dimension) if warm else None
+        counter = CountingHvp(cost)
+        monkeypatch.setattr(cost, "hvp", counter)
+        est = sharpness(cost, point, tol=tol, seed=3, start=start)
+        assert isinstance(est, SharpnessEstimate) and isinstance(est, float)
+        assert est.hvps == counter.calls
+        assert 1 <= est.steps < est.hvps  # at least one certifying hvp on top of the steps
+        assert est.residual <= tol * (1.0 + abs(est))
+        assert est.vector.shape == (cost.dimension,)
+        assert np.linalg.norm(est.vector) == pytest.approx(1.0, abs=1e-12)
+        assert float(est) == pytest.approx(float(est.vector @ cost.hvp(point, est.vector)),
+                                           abs=tol * (1.0 + abs(est)))
+
+
+def test_sharpness_rejects_a_bad_start():
+    cost = Quadratic(np.diag([10.0, 1.0, 0.5]))
+    for start in ([1.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  np.ones((3, 1))):
+        with pytest.raises(ContractViolation):
+            sharpness(cost, [1.0, 1.0, 1.0], start=start)
+
+
+class CrossingTop(CostFunction):
+    """f = -t0 + (1+2 t0) t1^2/2 + (2-t0) t2^2/2 + sum a_i t_i^2/2.
+
+    From 0 with eta = 1 the step runs along e0 to t0 = 1, where the Hessian
+    is diag(0, 1+2 t0, 2-t0, a): the top eigenvector jumps from e2 to e1 at
+    t0 = 1/3, and the segment's largest sharpness is 3, at its end.
+    """
+
+    kind = "crossing_top"
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=np.float64)
+        self.dimension = 3 + self.a.shape[0]
+
+    def value(self, theta):
+        t = self.check(theta)
+        return float(-t[0] + (1 + 2 * t[0]) * t[1] ** 2 / 2 + (2 - t[0]) * t[2] ** 2 / 2
+                     + self.a @ t[3:] ** 2 / 2)
+
+    def gradient(self, theta):
+        t = self.check(theta)
+        return np.concatenate(([-1.0 + t[1] ** 2 - t[2] ** 2 / 2, (1 + 2 * t[0]) * t[1],
+                                (2 - t[0]) * t[2]], self.a * t[3:]))
+
+
+@pytest.mark.parametrize("a", [(0.5, -0.3, 0.1)] + [
+    np.random.default_rng(seed).uniform(-0.5, 0.9, 1500) for seed in range(5)],
+    ids=["dim6"] + [f"dim1503-seed{seed}" for seed in range(5)])
+def test_segment_max_survives_crossing_top_eigenvalues(a):
+    # a start that is exactly the previous point's Ritz vector (e2) stays in
+    # span(e2) and certifies 2 - t0 past the crossing: the max would read 2
+    cost, tol = CrossingTop(a), 1e-6
+    theta = np.zeros(cost.dimension)
+    seg = segment_max_sharpness(cost, theta, 1.0, samples=11, tol=tol)
+    step = -cost.gradient(theta)
+    cold = max(sharpness(cost, theta + (i / 10) * step, tol=tol) for i in range(11))
+    assert type(seg) is float
+    assert abs(seg - cold) <= tol * (1.0 + abs(cold))
+    assert abs(cold - 3.0) <= tol * 4.0
+
+
+@pytest.fixture(scope="module")
+def acceptance_unstable_run():
+    """Iterates 0..90 of the acceptance classifier's eta = 1 run."""
+    cost = acceptance._classifier()
+    traj = gd_run(cost, cost.init_params(acceptance.MLP_INIT_SEED), OptimizerConfig(
+        eta=acceptance.ETA_UNSTABLE, max_iter=90, metric_cadence=5, stop_accuracy=0.95),
+        MetricFlags(rp=False, dir=False), record_iterates=True)
+    return cost, traj.iterates
+
+
+def _segment_estimates(monkeypatch, cost, theta, eta, **kwargs):
+    """Run segment_max_sharpness, returning its value and every estimate it made."""
+    made = []
+
+    def recording(*args, **kw):
+        made.append(sharpness(*args, **kw))
+        return made[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(metrics, "sharpness", recording)
+        seg = segment_max_sharpness(cost, theta, eta, **kwargs)
+    return seg, made
+
+
+@pytest.mark.parametrize("i", [15, 45, 90])
+def test_warm_segment_makes_fewer_hvps_than_cold_points(acceptance_unstable_run,
+                                                        monkeypatch, i):
+    cost, iterates = acceptance_unstable_run
+    theta, eta, tol, max_iter = iterates[i], acceptance.ETA_UNSTABLE, 1e-4, 30_000
+    counter = CountingHvp(cost)
+    monkeypatch.setattr(cost, "hvp", counter)
+    seg, made = _segment_estimates(monkeypatch, cost, theta, eta, samples=11, tol=tol,
+                                   max_iter=max_iter)
+    warm_hvps = counter.calls
+    assert len(made) == 11 and warm_hvps == sum(est.hvps for est in made)
+    assert seg == max(made)
+
+    step = -eta * cost.gradient(theta)
+    counter.calls = 0
+    cold = [sharpness(cost, theta + (k / 10) * step, tol, max_iter) for k in range(11)]
+    assert warm_hvps < counter.calls
+    # the first point is theta itself, estimated cold with the caller's arguments;
+    # a bound read against sharpness(cost, theta) relies on this
+    assert float(made[0]) == float(cold[0]) == float(sharpness(cost, theta, tol, max_iter, 0))
+    assert abs(seg - max(cold)) <= tol * (1.0 + max(cold))
+
+
+def test_segment_first_point_is_the_cold_estimate_on_relu(monkeypatch):
+    # relu nets get the finite-difference surrogate hvp
+    net = MLPCost(synth_dataset(acceptance.BLOBS), hidden_sizes=acceptance.MLP_HIDDEN,
+                  activation="relu")
+    traj = gd_run(net, net.init_params(acceptance.MLP_INIT_SEED),
+                  OptimizerConfig(eta=0.5, max_iter=30), MetricFlags(rp=False, dir=False))
+    theta = traj.final_theta
+    seg, made = _segment_estimates(monkeypatch, net, theta, 0.5, samples=11, tol=1e-4,
+                                   max_iter=30_000, seed=2)
+    assert float(made[0]) == float(sharpness(net, theta, 1e-4, 30_000, 2))
+    assert seg >= made[0]
 
 
 # --- stochastic relative progress ----------------------------------------------
