@@ -17,12 +17,17 @@ class PowerIterationError(RuntimeError):
     """Lanczos did not certify a Ritz residual within the iteration budget.
 
     Carries the Rayleigh quotient x.Hx of the last top Ritz vector x, so
-    callers can decide whether the partial estimate is still usable.
+    callers can decide whether the partial estimate is still usable, and the
+    work spent: ``hvps`` counts every hvp made, the one behind
+    ``last_rayleigh`` included, and ``steps`` the Lanczos steps taken. The
+    name is kept from the power iteration Lanczos replaced.
     """
 
-    def __init__(self, message, last_rayleigh):
+    def __init__(self, message, last_rayleigh, hvps, steps):
         super().__init__(message)
         self.last_rayleigh = float(last_rayleigh)
+        self.hvps = int(hvps)
+        self.steps = int(steps)
 
 
 class DatasetFormatError(ValueError):

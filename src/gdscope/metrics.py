@@ -17,8 +17,20 @@ which this module verifies numerically by trapezoidal quadrature on a tau
 grid, with the tau -> 0 endpoint linearly extrapolated from the two smallest
 grid points. Sharpness (largest Hessian eigenvalue) is estimated matrix-free
 by Lanczos with a certified Ritz residual; along a step segment each point
-is warm-started from the previous point's Ritz vector. The stochastic
-analogues of rp are estimated by Monte Carlo over minibatches.
+is warm-started from the previous point's Ritz vector.
+
+The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
+twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
+``expected_rp_rhs`` its directional-smoothness form. Both are views of one
+paired draw, which evaluates theta once, draws each minibatch gradient g_b
+once and makes one ``value_and_gradient`` at each theta - eta*g_b, so the two
+estimates use the same samples. Whichever view is called first computes the
+pair and parks the other view's result in a one-entry memo. A later call of
+the other view with an equal key (the same cost object, theta's bytes, eta,
+batch_size, num_batches, seed, the same grad_sampler object and, for the
+RHS, the grid) takes it and clears the entry; every other call computes
+afresh. The memo holds weak references only. It assumes that a cost (and a
+sampler) is not mutated between the two calls of a pair.
 
 All functions are pure given (cost, theta, parameters, seed); sweeps reduce
 in a fixed order so repeated calls are bit-identical.
@@ -27,6 +39,7 @@ in a fixed order so repeated calls are bit-identical.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -80,6 +93,9 @@ class QuadratureGrid:
         return cls(np.linspace(1.0 / points, 1.0, points))
 
 
+_ONE_NODE = QuadratureGrid.default(1)  # tau = 1 alone: dir at the full step
+
+
 class IdentityCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -113,15 +129,16 @@ def directional_smoothness(cost: CostFunction, theta, v) -> float:
     return float(_dir_along(cost, theta, cost.gradient(theta), v, 1.0, np.ones(1))[0])
 
 
-def _dir_along(cost, theta, g_at_theta, direction, eta, taus):
-    """dir_{eta*tau*direction}(theta) for each tau, reusing grad(theta)."""
+def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
+    """dir_{eta*tau*direction}(theta) for each tau, reusing grad(theta) and, for the
+    node tau = 1, ``g_at_end``: the gradient at theta - eta*direction, when known."""
     out = np.empty(taus.shape[0])
     for i, tau in enumerate(taus):
         v = (eta * tau) * direction
         vv = float(v @ v)
         if not math.isfinite(vv) or vv == 0.0:
             raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-        g_back = cost.gradient(theta - v)
+        g_back = g_at_end if g_at_end is not None and tau == 1.0 else cost.gradient(theta - v)
         out[i] = float(v @ (g_at_theta - g_back)) / vv
     return out
 
@@ -255,18 +272,17 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
         v /= np.linalg.norm(v)
     basis = np.empty((min(16, steps), dim))  # rows; doubled as it fills
     basis[0] = v
-    alphas, betas = [], []
+    T = np.zeros((len(basis), len(basis)))  # the tridiagonal, filled in place; grown with basis
     hvps = 0
     for k in range(steps):
         V = basis[:k + 1]
         w = cost.hvp(theta, V[k])
         hvps += 1
-        alphas.append(float(V[k] @ w))
+        T[k, k] = float(V[k] @ w)
         for _ in range(2):
             w -= (V @ w) @ V
         beta = float(np.linalg.norm(w))
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, S = np.linalg.eigh(T)
+        ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
         lam, s = float(ritz[-1]), S[:, -1]
         x = s @ V
         bound = tol * (1.0 + abs(lam))
@@ -278,12 +294,15 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
         if beta == 0.0 or k + 1 == steps:
             break
         if k + 1 == len(basis):
-            basis = np.concatenate((basis, np.empty((min(k + 1, steps - k - 1), dim))))
+            grow = min(k + 1, steps - k - 1)
+            basis = np.concatenate((basis, np.empty((grow, dim))))
+            T = np.pad(T, (0, grow))
         basis[k + 1] = w / beta
-        betas.append(beta)
+        T[k, k + 1] = T[k + 1, k] = beta
+    last_rayleigh = float(x @ cost.hvp(theta, x))
     raise PowerIterationError(
         f"Lanczos did not certify a Ritz residual <= {tol:g}*(1+|lam|) "
-        f"in {k + 1} steps", float(x @ cost.hvp(theta, x))
+        f"in {k + 1} steps", last_rayleigh, hvps + 1, k + 1
     )
 
 
@@ -337,6 +356,106 @@ def _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
     return out
 
 
+def _mean_and_stderr(samples):
+    """(mean, standard error of the mean) of Monte Carlo samples; stderr 0 for one sample."""
+    est = float(np.mean(samples))
+    err = 0.0 if samples.shape[0] == 1 else float(
+        np.std(samples, ddof=1) / math.sqrt(samples.shape[0]))
+    return est, err
+
+
+def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=None,
+                 taus=_ONE_NODE.taus, lhs_only=False):
+    """Both expected-rp estimates from one draw: (lhs, rhs), each (estimate, stderr).
+
+    Evaluates theta once, draws the gradient samples g_b once (in the rng order
+    of ``_batch_gradients``) and makes one ``value_and_gradient`` at each
+    theta - eta*g_b: its value is the LHS sample and its gradient serves the
+    RHS node tau = 1; any other node of ``taus`` is evaluated by ``gradient``.
+    ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
+    ``lhs_only``, which skips the RHS: each point then costs one ``value``.
+    """
+    if num_batches < 1:
+        raise ContractViolation("num_batches must be >= 1")
+    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
+    rng = np.random.default_rng(np.uint64(seed))
+    grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
+    scale = eta * gnorm**2
+    fused = taus[-1] == 1.0
+    lhs = np.empty(num_batches)
+    weights = None if lhs_only else np.empty(num_batches)
+    for i, gb in enumerate(grads):
+        point = theta - eta * gb
+        if weights is None or not fused:
+            value, g_end = cost.value(point), None
+        else:
+            value, g_end = cost.value_and_gradient(point)
+        lhs[i] = (value - loss) / scale
+        if weights is None:
+            continue
+        try:
+            dirs = _dir_along(cost, theta, g, gb, eta, taus, g_end)
+        except ZeroDirectionError:
+            weights = None
+            continue
+        weights[i] = float(gb @ gb) / gnorm**2 * _weighted_integral(taus, dirs)
+    if weights is None:
+        return _mean_and_stderr(lhs), None
+    est, err = _mean_and_stderr(weights)
+    return _mean_and_stderr(lhs), (-1.0 + 0.5 * eta * est, 0.5 * eta * err)
+
+
+class _PairMemo:
+    """The half of the last expected-rp pair that its other view has not yet read.
+
+    Holds one entry at most, and weak references only, to the cost and to the
+    sampler. ``take`` returns the parked result (the RHS may be None, meaning
+    undefined) when the view and key match, and clears the entry either way.
+    """
+
+    MISS = object()
+
+    def __init__(self):
+        self._entry = None
+
+    def take(self, half, cost, grad_sampler, key):
+        entry, self._entry = self._entry, None
+        if entry is None:
+            return self.MISS
+        parked_half, cost_ref, sampler_ref, parked_key, result = entry
+        if (parked_half == half and cost_ref() is cost and parked_key == key
+                and (grad_sampler is None if sampler_ref is None
+                     else sampler_ref() is grad_sampler)):
+            return result
+        return self.MISS
+
+    def park(self, half, cost, grad_sampler, key, result):
+        try:
+            cost_ref = weakref.ref(cost)
+            sampler_ref = None if grad_sampler is None else weakref.ref(grad_sampler)
+        except TypeError:  # not weakly referenceable: nothing is parked
+            return
+        self._entry = (half, cost_ref, sampler_ref, key, result)
+
+
+_pair_memo = _PairMemo()
+
+
+def _paired_view(half, cost, theta, eta, batch_size, num_batches, seed, grad_sampler, taus):
+    """One half of the pair: the parked one when it matches, else a fresh pair."""
+    arr = np.ascontiguousarray(theta, dtype=np.float64)
+    key = (arr.shape, arr.tobytes(), eta, batch_size, num_batches, seed)
+    keys = {"lhs": key, "rhs": key + (taus.tobytes(),)}
+    result = _pair_memo.take(half, cost, grad_sampler, keys[half])
+    if result is _PairMemo.MISS:
+        lhs, rhs = _paired_draw(cost, arr, eta, batch_size, num_batches, seed, grad_sampler, taus)
+        result, other, parked = (lhs, "rhs", rhs) if half == "lhs" else (rhs, "lhs", lhs)
+        _pair_memo.park(other, cost, grad_sampler, keys[other], parked)
+    if result is None:
+        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
+    return result
+
+
 def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
                 num_batches: int, seed: int, grad_sampler=None):
     """Monte Carlo estimate of (E f(theta - eta*g) - f(theta)) / (eta*||grad||^2).
@@ -344,18 +463,14 @@ def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
     Returns (estimate, stderr). With batch_size >= n and num_batches=1 the
     sample is the deterministic full gradient and this equals
     relative_progress exactly (stderr 0).
+
+    A view of the paired draw (see the module docstring): unless it takes the
+    result parked by an ``expected_rp_rhs`` call with the same arguments, the
+    call computes both estimators and parks the default-grid RHS for one later
+    ``expected_rp_rhs`` call. The cost must not be mutated in between.
     """
-    if num_batches < 1:
-        raise ContractViolation("num_batches must be >= 1")
-    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
-    rng = np.random.default_rng(np.uint64(seed))
-    grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
-    vals = np.array([
-        (cost.value(theta - eta * gb) - loss) / (eta * gnorm**2) for gb in grads
-    ])
-    est = float(np.mean(vals))
-    err = 0.0 if num_batches == 1 else float(np.std(vals, ddof=1) / math.sqrt(num_batches))
-    return est, err
+    return _paired_view("lhs", cost, theta, eta, batch_size, num_batches, seed,
+                        grad_sampler, _ONE_NODE.taus)
 
 
 def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
@@ -365,23 +480,14 @@ def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
 
     Default is the single-tau (tau=1) form, i.e. the one-node grid [1.0];
     passing a grid switches to the exact integral form
-    2 * integral tau * dir_{eta*tau*g} dtau per sample.
-    Matching seeds with expected_rp draw identical batch sequences, so the
-    two estimates are paired.
+    2 * integral tau * dir_{eta*tau*g} dtau per sample. Raises
+    ``ZeroDirectionError`` when a gradient sample is zero.
+
+    A view of the paired draw (see the module docstring): matching seeds with
+    ``expected_rp`` mean identical samples, and whichever of the two is called
+    first computes both and parks the other's result for one later call with
+    the same arguments. The cost must not be mutated in between.
     """
-    if num_batches < 1:
-        raise ContractViolation("num_batches must be >= 1")
-    taus = (grid or QuadratureGrid.default(1)).taus
-    theta, _, g, gnorm = _gradient_above_floor(cost, theta)
-    rng = np.random.default_rng(np.uint64(seed))
-    grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
-    weights = np.empty(num_batches)
-    for i, gb in enumerate(grads):
-        dirs = _dir_along(cost, theta, g, gb, eta, taus)
-        weights[i] = float(gb @ gb) / gnorm**2 * _weighted_integral(taus, dirs)
-    est = -1.0 + 0.5 * eta * float(np.mean(weights))
-    if num_batches == 1:
-        err = 0.0
-    else:
-        err = 0.5 * eta * float(np.std(weights, ddof=1) / math.sqrt(num_batches))
-    return est, err
+    taus = (grid or _ONE_NODE).taus
+    return _paired_view("rhs", cost, theta, eta, batch_size, num_batches, seed,
+                        grad_sampler, taus)

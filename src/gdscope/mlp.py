@@ -15,6 +15,11 @@ backward passes write into them in place, and gradients are written straight
 into the vector that is returned, so returned arrays never alias the
 workspace. Because the workspace is shared state, one cost instance must not
 be evaluated from several threads at once; give each thread its own cost.
+
+``value`` and the backward pass share one softmax head: the row max of the
+logits, exp(logits - max) and the row sum are computed once and serve both
+the log-sum-exp loss and the softmax, so ``value_and_gradient`` costs about
+one ``gradient``.
 """
 
 from __future__ import annotations
@@ -146,16 +151,33 @@ class MLPCost(CostFunction):
         inputs.append(a)
         return a @ W.T + b, inputs, norm_state
 
-    def _loss_from_logits(self, logits, idx):
-        labels = self.dataset.labels if idx is self._all_rows else self.dataset.labels[idx]
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        picked = logits[np.arange(len(idx)), labels]
-        return float(np.mean(lse - picked))
+    def _softmax_head(self, logits, idx, with_loss):
+        """(mean cross-entropy over the rows idx, or None without with_loss; softmax).
+
+        One pass serves both: the row max m, e = exp(logits - m) and the row sum
+        s are computed once, the loss is the mean of m + log(s) - picked logit,
+        and the softmax e / s is written over ``logits``. The row max is taken
+        column by column with ``np.maximum``, which is exact and much faster than
+        ``max(axis=1)`` on a few class columns.
+        """
+        m = logits[:, 0].copy()
+        for c in range(1, logits.shape[1]):
+            np.maximum(m, logits[:, c], out=m)
+        loss = None
+        if with_loss:
+            labels = self.dataset.labels if idx is self._all_rows else self.dataset.labels[idx]
+            picked = logits[np.arange(len(idx)), labels]
+        logits -= m[:, None]
+        np.exp(logits, out=logits)
+        s = logits.sum(axis=1)
+        if with_loss:
+            loss = _finite_or_inf(float(np.mean(m + np.log(s) - picked)))
+        logits /= s[:, None]
+        return loss, logits
 
     def value(self, theta) -> float:
         logits, _, _ = self._forward(self.unpack(theta), self._all_rows)
-        return _finite_or_inf(self._loss_from_logits(logits, self._all_rows))
+        return self._softmax_head(logits, self._all_rows, with_loss=True)[0]
 
     def gradient(self, theta) -> np.ndarray:
         return self._backprop(theta, self._all_rows)[1]
@@ -184,13 +206,8 @@ class MLPCost(CostFunction):
         """
         layers = self.unpack(theta)
         logits, inputs, norm_state = self._forward(layers, idx)
-        loss = _finite_or_inf(self._loss_from_logits(logits, idx)) if with_loss else None
-
-        d_z = logits  # softmax minus one-hot, over the rows, in place
-        d_z -= d_z.max(axis=1, keepdims=True)
-        np.exp(d_z, out=d_z)
-        d_z /= d_z.sum(axis=1, keepdims=True)
-        d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]
+        loss, d_z = self._softmax_head(logits, idx, with_loss)
+        d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]  # softmax minus one-hot
         d_z /= idx.size
 
         acts, backs, normed = self._workspace(d_z.shape[0])

@@ -250,8 +250,9 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
                 _finish_step(sample, owes, g, *cost.value_and_gradient(theta - owes[0]),
                              config.eta, flags)
             if defined and flags.expected_rp:
-                sample.rp, _ = M.expected_rp(cost, theta, config.eta, batch,
-                                             flags.expected_rp_batches, seed=rng.integers(0, 2**63))
+                (sample.rp, _), _ = M._paired_draw(cost, theta, config.eta, batch,
+                                                   flags.expected_rp_batches,
+                                                   rng.integers(0, 2**63), lhs_only=True)
         except Exception as exc:
             raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
         samples.append(sample)

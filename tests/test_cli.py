@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,18 @@ def test_list_presets_names(capsys):
     for name in ("quad-sweep", "flat-quad", "single-neuron-tanh", "mlp-gd-stable",
                  "mlp-gd-unstable", "tau-grid", "sgd-relu"):
         assert name in out
+
+
+def test_python_m_gdscope_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "gdscope", "list-presets"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(X.preset_names()) <= {line.split()[0] for line in done.stdout.splitlines()}
+    bad = subprocess.run([sys.executable, "-m", "gdscope", "no-such-command"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2
 
 
 def test_preset_specs_all_parse():

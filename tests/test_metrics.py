@@ -18,6 +18,7 @@ from gdscope import (
     SingleNeuron,
     SynthSpec,
     TanhQuadratic,
+    WeightDecayWrapped,
     ZeroDirectionError,
     directional_smoothness,
     expected_rp,
@@ -261,12 +262,17 @@ def test_sharpness_indefinite_needs_the_shift():
     assert sharpness(cost, [1.0, 1.0], tol=1e-12) == pytest.approx(3.0, abs=1e-8)
 
 
-def test_sharpness_nonconvergence_carries_rayleigh():
+def test_sharpness_nonconvergence_carries_rayleigh(monkeypatch):
     # Lanczos is exact on a dim-3 matrix within 3 steps; a budget of 2 is not
     cost = Quadratic(np.diag([10.0, 9.99, 1.0]))
+    counter = CountingHvp(cost)
+    monkeypatch.setattr(cost, "hvp", counter)
     with pytest.raises(PowerIterationError) as kept:
         sharpness(cost, [1.0, 1.0, 1.0], tol=1e-15, max_iter=2)
     assert math.isfinite(kept.value.last_rayleigh)
+    # the failure reports its work: every hvp, the one behind last_rayleigh included
+    assert kept.value.steps == 2
+    assert kept.value.hvps == counter.calls >= 3
 
 
 def test_sharpness_rejects_bad_tol_and_budget():
@@ -294,12 +300,17 @@ class SkewHvp(CostFunction):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_sharpness_refuses_a_non_symmetric_hvp(seed):
+def test_sharpness_refuses_a_non_symmetric_hvp(seed, monkeypatch):
     # the top eigenvalue is 2; stopping on the recurrence residual alone returns
     # 2.55 to 9.98 here, depending on the seed
+    cost = SkewHvp()
+    counter = CountingHvp(cost)
+    monkeypatch.setattr(cost, "hvp", counter)
     with pytest.raises(PowerIterationError) as kept:
-        sharpness(SkewHvp(), np.zeros(3), seed=seed)
+        sharpness(cost, np.zeros(3), seed=seed)
     assert math.isfinite(kept.value.last_rayleigh)
+    assert 1 <= kept.value.steps <= 3
+    assert kept.value.hvps == counter.calls > kept.value.steps
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
@@ -548,6 +559,220 @@ def test_expected_rp_rhs_default_is_the_one_node_grid(sgd_net):
     assert expected_rp_rhs(net, theta, eta, batch, batches, seed) == want
     assert expected_rp_rhs(net, theta, eta, batch, batches, seed,
                            grid=QuadratureGrid(np.array([1.0]))) == want
+
+
+class CountingCost(CostFunction):
+    """Delegates to ``inner`` and counts every evaluation by entry point.
+
+    ``fused_at`` keeps the points of the ``value_and_gradient`` calls.
+    """
+
+    def __init__(self, inner):
+        self.inner, self.kind, self.dimension = inner, inner.kind, inner.dimension
+        self.calls = dict.fromkeys(
+            ("value", "gradient", "value_and_gradient", "stochastic_gradient"), 0)
+        self.fused_at = []
+
+    @property
+    def num_examples(self):
+        return self.inner.num_examples
+
+    def value(self, theta):
+        self.calls["value"] += 1
+        return self.inner.value(theta)
+
+    def gradient(self, theta):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(theta)
+
+    def value_and_gradient(self, theta):
+        self.calls["value_and_gradient"] += 1
+        self.fused_at.append(np.array(theta))
+        return self.inner.value_and_gradient(theta)
+
+    def stochastic_gradient(self, theta, batch):
+        self.calls["stochastic_gradient"] += 1
+        return self.inner.stochastic_gradient(theta, batch)
+
+
+def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0,)):
+    """The two estimators as separate scalar loops: the oracle for the paired draw."""
+    loss, g = cost.value(theta), cost.gradient(theta)
+    gnorm = float(np.linalg.norm(g))
+    rng = np.random.default_rng(np.uint64(seed))
+    lhs, weights = [], []
+    for _ in range(batches):
+        if sampler is None:
+            gb = cost.stochastic_gradient(theta, rng.integers(0, cost.num_examples, size=batch))
+        else:
+            gb = sampler(rng)
+        lhs.append((cost.value(theta - eta * gb) - loss) / (eta * gnorm**2))
+        dirs = np.array([directional_smoothness(cost, theta, (eta * tau) * gb) for tau in taus])
+        integral = (dirs[0] if tuple(taus) == (1.0,)
+                    else metrics._weighted_integral(np.asarray(taus), dirs))
+        weights.append(float(gb @ gb) / gnorm**2 * integral)
+
+    def mean_and_stderr(xs):
+        return float(np.mean(xs)), float(np.std(xs, ddof=1) / math.sqrt(batches))
+
+    (lhs_est, lhs_err), (w_est, w_err) = mean_and_stderr(lhs), mean_and_stderr(weights)
+    return (lhs_est, lhs_err), (-1.0 + 0.5 * eta * w_est, 0.5 * eta * w_err)
+
+
+def _pair_problem(kind):
+    """(cost, theta, eta, batch, sampler) for one expected-rp problem."""
+    if kind == "quadratic_sampler":
+        cost = Quadratic(np.diag([3.0, 2.0, 0.5, 1.5]))
+        theta = np.array([0.7, -0.4, 1.2, 0.1])
+        g = cost.gradient(theta)
+        noise = np.random.default_rng(0).standard_normal(4)
+        return cost, theta, 0.2, 1, lambda rng: g + 0.5 * rng.standard_normal(4) * noise
+    ds = synth_dataset(SynthSpec(n=64, d=4, classes=3, cluster_spread=0.6, seed=6))
+    act = "tanh" if kind == "mlp_tanh" else "relu"
+    cost = MLPCost(ds, hidden_sizes=(8, 6), activation=act)
+    theta = cost.init_params(3)
+    if kind == "mlp_relu_decay":
+        cost = WeightDecayWrapped(cost, 0.01)
+    return cost, theta, 0.5, 16, None
+
+
+PAIR_KINDS = ["mlp_relu", "mlp_tanh", "mlp_relu_decay", "quadratic_sampler"]
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_expected_rp_views_match_the_scalar_loops(kind):
+    cost, theta, eta, batch, sampler = _pair_problem(kind)
+    args = (cost, theta, eta, batch, 24, 11)
+    lhs, rhs = _scalar_pair(*args, sampler=sampler)
+    # LHS first (the RHS is then the parked half), RHS first, and each view alone
+    assert expected_rp(*args, grad_sampler=sampler) == lhs
+    assert expected_rp_rhs(*args, grad_sampler=sampler) == rhs
+    assert expected_rp_rhs(*args, grad_sampler=sampler) == rhs
+    assert expected_rp(*args, grad_sampler=sampler) == lhs
+    assert expected_rp(*args, grad_sampler=sampler) == lhs
+    # a grid with more nodes, ending at tau = 1 or short of it
+    for taus in ((0.25, 0.5, 1.0), (0.3, 0.7)):
+        grid = QuadratureGrid(np.array(taus))
+        _, want = _scalar_pair(*args, sampler=sampler, taus=taus)
+        assert expected_rp_rhs(*args, grid=grid, grad_sampler=sampler) == want
+        assert expected_rp(*args, grad_sampler=sampler) == lhs
+
+
+def test_a_checkpoint_pair_draws_and_evaluates_once(sgd_net):
+    # before the pairing, LHS then RHS made 2 evaluations at theta, 320 minibatch
+    # gradients, 160 values and 160 gradients at the sample points
+    net, theta = sgd_net
+    cost = CountingCost(net)
+    lhs = expected_rp(cost, theta, 0.3, 16, 160, seed=4)
+    rhs = expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4)
+    assert cost.calls == {"value": 0, "gradient": 0, "value_and_gradient": 161,
+                          "stochastic_gradient": 160}
+    assert sum(np.array_equal(p, theta) for p in cost.fused_at) == 1
+    assert (lhs, rhs) == _scalar_pair(net, theta, 0.3, 16, 160, 4)
+    # a wider grid evaluates its extra nodes by gradient, and tau = 1 by the fused call
+    cost = CountingCost(net)
+    expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4, grid=QuadratureGrid(np.array([0.5, 1.0])))
+    assert cost.calls == {"value": 0, "gradient": 160, "value_and_gradient": 161,
+                          "stochastic_gradient": 160}
+
+
+def _calls_made(cost, call):
+    before = dict(cost.calls)
+    call()
+    return {k: cost.calls[k] - before[k] for k in before}
+
+
+def test_the_parked_half_is_taken_once_and_only_on_an_equal_key(sgd_net):
+    net, theta = sgd_net
+    eta, batch, batches, seed = 0.3, 16, 12, 5
+    cost = CountingCost(net)
+    pair = {"value": 0, "gradient": 0, "value_and_gradient": batches + 1,
+            "stochastic_gradient": batches}
+    nothing = dict.fromkeys(pair, 0)
+    base = (theta, eta, batch, batches, seed)
+    assert _calls_made(cost, lambda: expected_rp(cost, *base)) == pair
+    # an equal theta in another array is an equal key
+    assert _calls_made(cost, lambda: expected_rp_rhs(cost, theta.copy(), *base[1:])) == nothing
+    # consumed: the same call again computes afresh, as does a view called twice
+    assert _calls_made(cost, lambda: expected_rp_rhs(cost, *base)) == pair
+    assert _calls_made(cost, lambda: expected_rp_rhs(cost, *base)) == pair
+    assert _calls_made(cost, lambda: expected_rp(cost, *base)) == nothing
+
+    other_cost = CountingCost(net)
+    nudged = theta.copy()
+    nudged[0] += 1e-12
+    for changed in ((other_cost, theta, eta, batch, batches, seed),
+                    (cost, theta, eta, batch, batches, seed + 1),
+                    (cost, theta, eta * 1.5, batch, batches, seed),
+                    (cost, nudged, eta, batch, batches, seed),
+                    (cost, theta, eta, batch + 1, batches, seed),
+                    (cost, theta, eta, batch, batches - 1, seed)):
+        expected_rp(cost, *base)
+        target = changed[0]
+        made = _calls_made(target, lambda: expected_rp_rhs(*changed))
+        assert made["stochastic_gradient"] == changed[4], changed[1:]
+    assert cost.calls["value"] == cost.calls["gradient"] == 0
+
+
+def test_a_different_sampler_is_a_different_key():
+    cost, theta, eta, _, sampler = _pair_problem("quadratic_sampler")
+    counted = CountingCost(cost)
+    twin = lambda rng: sampler(rng)  # noqa: E731  same draws, another object
+    expected_rp(counted, theta, eta, 1, 20, 3, grad_sampler=sampler)
+    made = _calls_made(counted, lambda: expected_rp_rhs(counted, theta, eta, 1, 20, 3,
+                                                         grad_sampler=twin))
+    assert made["value_and_gradient"] == 21
+    made = _calls_made(counted, lambda: expected_rp(counted, theta, eta, 1, 20, 3,
+                                                     grad_sampler=twin))
+    assert made["value_and_gradient"] == 0
+    # no sampler at all is a different key too: the quadratic has no dataset
+    expected_rp(counted, theta, eta, 1, 20, 3, grad_sampler=sampler)
+    with pytest.raises(ContractViolation):
+        expected_rp_rhs(counted, theta, eta, 1, 20, 3)
+
+
+def test_the_pair_memo_keeps_no_cost_alive(sgd_net):
+    import gc
+    import weakref
+
+    net, theta = sgd_net
+    cost = CountingCost(net)
+    expected_rp(cost, theta, 0.3, 16, 4, seed=1)
+    ref = weakref.ref(cost)
+    del cost
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_zero_gradient_sample_leaves_the_lhs_and_fails_the_rhs():
+    cost = Quadratic(np.diag([4.0, 1.0]))
+    theta, eta = np.array([0.5, -1.0]), 0.1
+    g = cost.gradient(theta)
+    sampler = lambda rng: g * float(rng.integers(0, 2))  # noqa: E731  zero half the time
+    n = 40
+    # the LHS oracle: the scalar loop without the dir part
+    rng, gnorm = np.random.default_rng(np.uint64(2)), float(np.linalg.norm(g))
+    vals = [(cost.value(theta - eta * sampler(rng)) - cost.value(theta)) / (eta * gnorm**2)
+            for _ in range(n)]
+    want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+    for rhs_first in (False, True):
+        if rhs_first:
+            with pytest.raises(ZeroDirectionError):
+                expected_rp_rhs(cost, theta, eta, 1, n, 2, grad_sampler=sampler)
+        assert expected_rp(cost, theta, eta, 1, n, 2, grad_sampler=sampler) == want
+        if not rhs_first:
+            with pytest.raises(ZeroDirectionError):
+                expected_rp_rhs(cost, theta, eta, 1, n, 2, grad_sampler=sampler)
+
+
+def test_sgd_epoch_metric_evaluates_values_only(sgd_net):
+    # the epoch rp reads only the LHS, so the sample points get one value each
+    net, theta = sgd_net
+    cost = CountingCost(net)
+    traj = sgd_run(cost, theta, OptimizerConfig(eta=0.3, max_iter=2, batch_size=16, seed=1),
+                   MetricFlags(expected_rp=True, dir=False, expected_rp_batches=10))
+    assert cost.calls["value"] == 3 * 10
+    assert all(s.rp is not None for s in traj.samples)
 
 
 def test_expected_rp_can_go_positive_mid_training():

@@ -230,3 +230,48 @@ def test_warm_value_and_gradient_does_not_page_fault():
         net.value_and_gradient(theta)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 5, faults
+
+
+def _head_cases(net, rng):
+    """Parameter vectors whose logits are ordinary, overflow exp, and tie at the row max."""
+    theta = net.init_params(2) + 0.3 * rng.standard_normal(net.dimension)
+    classes, width = net.layer_sizes[-1], net.layer_sizes[-2]
+    last_w = slice(net.dimension - classes * (width + 1), net.dimension - classes)
+    last_b = slice(net.dimension - classes, net.dimension)
+    big = theta.copy()
+    big[last_w] *= 2e3  # logits in the thousands: exp overflows without the max shift
+    tied_all = theta.copy()
+    tied_all[last_w] = 0.0
+    tied_all[last_b] = np.r_[2.0, 2.0, np.zeros(classes - 2)]  # every row ties classes 0 and 1
+    tied_some = big.copy()
+    W = tied_some[last_w].reshape(classes, width)
+    W[-1] = W[0]
+    tied_some[last_b.stop - 1] = tied_some[last_b.start]  # the last class copies class 0
+    return {"plain": theta, "overflow": big, "tied_all": tied_all, "tied_some": tied_some}
+
+
+@pytest.mark.parametrize("classes", [2, 4, 10])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_softmax_head_is_the_two_pass_formula_bit_for_bit(classes, activation):
+    # the shared head against the separate max / exp / sum passes it replaced
+    ds = synth_dataset(SynthSpec(n=60, d=3, classes=classes, cluster_spread=0.6, seed=classes))
+    net = MLPCost(ds, hidden_sizes=(7,), activation=activation)
+    n = ds.n
+    onehot = np.eye(classes)[ds.labels]
+    for name, theta in _head_cases(net, np.random.default_rng(classes)).items():
+        logits = net.logits(theta)
+        m = logits.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        want_loss = float(np.mean(lse - logits[np.arange(n), ds.labels]))
+        p = logits - m
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        p -= onehot
+        p /= n
+        want_bias_grad = p.sum(axis=0)
+
+        value, grad = net.value_and_gradient(theta)
+        assert value == net.value(theta) == want_loss, name
+        assert np.array_equal(grad, net.gradient(theta)), name
+        assert np.array_equal(grad[-classes:], want_bias_grad), name
+        assert np.all(np.isfinite(grad)), name
