@@ -293,11 +293,16 @@ def sgd_expected_rp() -> CriterionResult:
     closed = -1.0 + (eta_q * lam / 2.0) * (1.0 + sigma**2 * dim / gnorm2)
     sampler = lambda rng: quad.gradient(theta_q) + sigma * rng.standard_normal(dim)
     est, se = M.expected_rp(quad, theta_q, eta_q, 1, 20_000, seed=7, grad_sampler=sampler)
-    quad_ok = abs(est - closed) <= 3 * se
+    # the RHS of the same draw, parked by the call above; on lam*I, dir is exactly
+    # lam, so both sides have the closed form as their expectation
+    est_rhs, se_rhs = M.expected_rp_rhs(quad, theta_q, eta_q, 1, 20_000, seed=7,
+                                        grad_sampler=sampler)
+    quad_ok = abs(est - closed) <= 3 * se and abs(est_rhs - closed) <= 3 * se_rhs
 
     ok = worst_gap <= 0.1 and quad_ok
     measured = (f"worst |lhs-rhs|={worst_gap:.4f} over {checkpoints} epoch checkpoints; "
-                f"noisy quadratic |est-closed|={abs(est-closed):.2e} (3*se={3*se:.2e})")
+                f"noisy quadratic |lhs-closed|={abs(est-closed):.2e} (3*se={3*se:.2e}), "
+                f"|rhs-closed|={abs(est_rhs-closed):.2e} (3*se={3*se_rhs:.2e})")
     return _result("sgd-expected-rp", measured,
                    "|lhs-rhs| <= 0.1 at every checkpoint; closed form within 3 stderr", ok)
 

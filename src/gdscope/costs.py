@@ -3,9 +3,9 @@
 All costs share one contract: ``value``, ``gradient``, ``value_and_gradient``
 and ``hvp``, on a flat float64 parameter vector whose dimension is fixed at
 construction and checked on every evaluation. Gradients are analytic (closed
-form here, backprop for the MLP); Hessian-vector products are analytic for
-quadratics and a central finite difference of gradients everywhere else, with
-a smaller step on costs that are not C^2.
+form here, backprop for the MLP). Hessian-vector products are analytic for
+quadratics, exact R-operator passes for the MLP, and a central finite
+difference of gradients for the remaining costs, all of which are C^2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ContractViolation
 
 _EPS_CBRT = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
-_EPS_SQRT = float(np.finfo(np.float64).eps) ** 0.5
 
 
 def as_params(theta, dimension=None) -> np.ndarray:
@@ -53,10 +52,9 @@ class CostFunction:
     Subclasses set ``kind``, ``dimension`` and implement ``value`` and
     ``gradient``. ``value_and_gradient`` returns exactly their pair, by default
     by calling both; ``hvp`` defaults to a central finite difference of
-    gradients with step cbrt(machine eps) * (1 + ||theta||). Costs that are not
-    C^2 (``is_c2 = False``, relu networks) step sqrt(machine eps) * (1 + ||theta||)
-    instead: the larger step straddles kinks, where the difference stops being
-    linear in the direction.
+    gradients with step cbrt(machine eps) * (1 + ||theta||), which suits C^2
+    costs. Costs that are not C^2 (``is_c2 = False``: relu networks, whose hvp
+    is the exact R-operator pass of ``MLPCost``) override ``hvp``.
     """
 
     kind: str = "abstract"
@@ -81,7 +79,7 @@ class CostFunction:
         if norm_v == 0.0:
             raise ContractViolation("hvp direction must be nonzero")
         vhat = v / norm_v
-        eps = (_EPS_CBRT if self.is_c2 else _EPS_SQRT) * (1.0 + float(np.linalg.norm(theta)))
+        eps = _EPS_CBRT * (1.0 + float(np.linalg.norm(theta)))
         g_plus = self.gradient(theta + eps * vhat)
         g_minus = self.gradient(theta - eps * vhat)
         return (g_plus - g_minus) * (norm_v / (2.0 * eps))

@@ -251,8 +251,9 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
     is exactly an eigenvector would certify that eigenpair even when it is
     not the top one.
 
-    For costs that are not C^2 (relu networks) the Hessian-vector product is
-    a finite-difference surrogate and the returned value inherits that status.
+    On relu networks the hvp is exact with the activation pattern at theta
+    held fixed (sigma'' = 0, and sigma' = 0 at a kink as in the gradient),
+    which is the Hessian wherever no pre-activation is exactly zero.
     """
     if tol <= 0:
         raise ContractViolation("tol must be positive")

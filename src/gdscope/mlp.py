@@ -20,6 +20,19 @@ be evaluated from several threads at once; give each thread its own cost.
 logits, exp(logits - max) and the row sum are computed once and serve both
 the log-sum-exp loss and the softmax, so ``value_and_gradient`` costs about
 one ``gradient``.
+
+``hvp`` is exact: Pearlmutter's R-operator, a forward-over-reverse pass
+(Pearlmutter 1994, "Fast exact multiplication by the Hessian"). What it reads
+at theta, the curvature state, is computed once per theta by one forward and
+one backward pass and kept in buffers made on the first hvp: each hidden
+layer's activation, sigma' and backprop signal, the normalized first layer
+and the signal at its output, the softmax probabilities, and for tanh the
+signal times sigma''/sigma'. The state is keyed on a copy of theta compared
+by value, so an hvp at an equal theta (the Lanczos steps of one sharpness
+estimate) costs only an R-forward and an R-backward pass, and a theta
+mutated in place is seen as new. Those passes use the full-batch workspace
+as scratch; the returned vector is fresh. The state is more shared state:
+the cost is still not thread-safe.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import math
 
 import numpy as np
 
-from .costs import CostFunction, _finite_or_inf
+from .costs import CostFunction, _finite_or_inf, as_params
 from .data import Dataset
 from .errors import ContractViolation
 
@@ -72,6 +85,7 @@ class MLPCost(CostFunction):
         self._onehot[np.arange(dataset.n), dataset.labels] = 1.0
         self._all_rows = np.arange(dataset.n)
         self._workspaces = {}  # row count -> _workspace buffers
+        self._curv = None  # _Curvature at the last theta an hvp saw
 
     # --- parameter packing -------------------------------------------------
 
@@ -103,31 +117,34 @@ class MLPCost(CostFunction):
     def num_examples(self) -> int:
         return self.dataset.n
 
-    def _workspace(self, rows):
-        """(activations, backprop signals, normalized first layer or None) for ``rows`` rows.
+    def _buffers(self, rows):
+        """(activations, backprop signals, normalized first layer or None) for ``rows`` rows:
+        one new (rows, width) buffer of each kind per hidden layer."""
+        widths = self.layer_sizes[1:-1]
+        return (
+            [np.empty((rows, w)) for w in widths],
+            [np.empty((rows, w)) for w in widths],
+            np.empty((rows, widths[0])) if self.normalize_first else None,
+        )
 
-        One (rows, width) buffer of each kind per hidden layer, made the first
-        time a row count is evaluated and kept for the cost's lifetime.
-        """
+    def _workspace(self, rows):
+        """The workspace ``_buffers`` for ``rows`` rows, made the first time a row count
+        is evaluated and kept for the cost's lifetime."""
         ws = self._workspaces.get(rows)
         if ws is None:
-            widths = self.layer_sizes[1:-1]
-            ws = self._workspaces[rows] = (
-                [np.empty((rows, w)) for w in widths],
-                [np.empty((rows, w)) for w in widths],
-                np.empty((rows, widths[0])) if self.normalize_first else None,
-            )
+            ws = self._workspaces[rows] = self._buffers(rows)
         return ws
 
-    def _forward(self, layers, idx):
+    def _forward(self, layers, idx, ws=None):
         """(logits, the input to each layer, normalization state) for the rows idx.
 
-        Hidden activations are computed in place in the workspace; with the
-        normalization layer, the first hidden layer's buffer keeps the
-        activation before normalization and the normalized copy feeds layer 1.
+        Hidden activations are computed in place in ``ws`` (by default the
+        workspace); with the normalization layer, the first hidden layer's
+        buffer keeps the activation before normalization and the normalized
+        copy feeds layer 1.
         """
         a = self.dataset.features if idx is self._all_rows else self.dataset.features[idx]
-        acts, _, normed = self._workspace(a.shape[0])
+        acts, _, normed = ws or self._workspace(a.shape[0])
         inputs = []
         norm_state = None
         for l, (W, b) in enumerate(layers[:-1]):
@@ -237,6 +254,143 @@ class MLPCost(CostFunction):
             d_z = d_a
         return loss, grad
 
+    def hvp(self, theta, v) -> np.ndarray:
+        """Exact H v: Pearlmutter's R-operator, forward over reverse, over every row.
+
+        The state at theta (``_Curvature``) is computed on the first call at a
+        theta and reused while theta stays equal by value; each call then costs
+        one R-forward and one R-backward pass. relu follows the gradient's
+        subgradient convention: sigma' = 0 and sigma'' = 0 at the kink.
+        """
+        theta = self.check(theta)
+        v = as_params(v, self.dimension)
+        if not np.any(v):
+            raise ContractViolation("hvp direction must be nonzero")
+        return self._r_pass(self._curvature(theta), v)
+
+    def _curvature(self, theta):
+        """The ``_Curvature`` at theta: the kept one when its theta is equal by value."""
+        cs = self._curv
+        if cs is not None and cs.complete and np.array_equal(cs.theta, theta):
+            return cs
+        if cs is None:
+            cs = self._curv = _Curvature(self)
+        cs.complete = False
+        np.copyto(cs.theta, theta)
+        layers = cs.layers
+        logits, cs.inputs, cs.norm_state = self._forward(layers, self._all_rows, cs.ws)
+        _, cs.probs = self._softmax_head(logits, self._all_rows, with_loss=False)
+        top = cs.probs - self._onehot
+        top /= self.dataset.n
+        acts, deltas, _ = cs.ws
+        cs.deltas = [*deltas, top]
+        scratch = self._workspace(self.dataset.n)[1]
+        for l in range(len(layers) - 1, 0, -1):
+            h = acts[l - 1]
+            if l == 1 and cs.norm_state is not None:
+                # g w.r.t. the normalized output, then through the normalization's Jacobian
+                r_safe, s_safe = cs.norm_state
+                g_norm = np.matmul(cs.deltas[1], layers[1][0], out=cs.g_norm)
+                cs.hg = np.multiply(h, g_norm, out=scratch[0]).sum(axis=1, keepdims=True)
+                g = np.divide(g_norm, s_safe, out=deltas[0])
+                g -= np.multiply(h, cs.hg / (r_safe * s_safe**2), out=scratch[0])
+            else:
+                g = np.matmul(cs.deltas[l], layers[l][0], out=deltas[l - 1])
+            if self.activation == "tanh":
+                slope = np.multiply(h, h, out=cs.slopes[l - 1])
+                np.subtract(1.0, slope, out=slope)
+                np.multiply(h, g, out=cs.curls[l - 1])
+                cs.curls[l - 1] *= -2.0  # g sigma''/sigma' = -2 h g
+                g *= slope
+            elif self.activation == "relu":
+                g *= np.greater(h, 0.0, out=cs.slopes[l - 1])
+        cs.complete = True
+        return cs
+
+    def _r_pass(self, cs, v):
+        """H v at the state's theta, into a fresh vector; the workspace serves as scratch.
+
+        Forward: R(z) = R(a) W^T + a V^T + c and R(h) = sigma' R(z) per layer
+        (through the normalization's Jacobian after the first), then
+        R(softmax) = p (R(z) - <p, R(z)>). Backward: R(dW) = R(delta)^T a +
+        delta^T R(a), R(db) = sum R(delta), and
+        R(delta) = sigma' R(g) + (g sigma''/sigma') R(h) with R(g) = R(delta') W + delta' V.
+        """
+        layers, dirs = cs.layers, self.unpack(v)
+        acts, backs, normed = self._workspace(self.dataset.n)
+        inputs, deltas = cs.inputs, cs.deltas
+        h, last = cs.ws[0], len(layers) - 1
+        r_in = [None]  # R(input) of each layer; the data's is zero
+        for l in range(last):
+            V, c = dirs[l]
+            rz = np.matmul(inputs[l], V.T, out=acts[l])
+            if l > 0:
+                rz += np.matmul(r_in[l], layers[l][0].T, out=backs[l])
+            rz += c
+            if cs.slopes is not None:
+                rz *= cs.slopes[l]
+            if l == 0 and cs.norm_state is not None:
+                r_safe, s_safe = cs.norm_state
+                h_rh = np.multiply(h[0], rz, out=backs[0]).sum(axis=1, keepdims=True)
+                r_in.append(np.divide(rz, s_safe, out=normed))
+                r_in[1] -= np.multiply(h[0], h_rh / (r_safe * s_safe**2), out=backs[0])
+            else:
+                r_in.append(rz)
+        V, c = dirs[last]
+        r_d = inputs[last] @ V.T
+        if last > 0:
+            r_d += r_in[last] @ layers[last][0].T
+        r_d += c
+        r_d -= ((cs.probs * r_d) @ cs.ones_classes)[:, None]
+        r_d *= cs.probs
+        r_d /= self.dataset.n
+
+        out = np.empty(self.dimension)
+        grads = self.unpack(out)
+        for l in range(last, -1, -1):
+            dW, db = grads[l]
+            np.matmul(r_d.T, inputs[l], out=dW)
+            np.matmul(cs.ones_rows, r_d, out=db)  # column sums, faster than sum(axis=0)
+            if l == 0:
+                break
+            dW += np.matmul(deltas[l].T, r_in[l], out=cs.dW_scratch[l])
+            rh = acts[l - 1]  # R(h) of the layer below, free once R(dW) is taken
+            rg = np.matmul(r_d, layers[l][0], out=backs[l - 1])
+            if l == 1 and cs.norm_state is not None:
+                # R(g) w.r.t. the normalized output, then J R(g) + R(J) g through the Jacobian
+                rg += np.matmul(deltas[1], dirs[1][0], out=normed)
+                r_safe, s_safe = cs.norm_state
+                rho = h_rh / r_safe
+                rs2 = r_safe * s_safe**2
+                h_rg = np.multiply(h[0], rg, out=normed).sum(axis=1, keepdims=True)
+                rh_g = np.multiply(rh, cs.g_norm, out=normed).sum(axis=1, keepdims=True)
+                coef = cs.hg * rho * (s_safe + 2.0 * r_safe) / (r_safe * s_safe)
+                coef -= h_rg + rh_g
+                coef /= rs2
+                rg /= s_safe
+                rg -= np.multiply(cs.g_norm, rho / s_safe**2, out=normed)
+                rg -= np.multiply(rh, cs.hg / rs2, out=normed)
+                rg += np.multiply(h[0], coef, out=normed)
+                if cs.slopes is not None:
+                    rg *= cs.slopes[0]
+                if cs.curls is not None:
+                    rh *= cs.curls[0]
+                    rg += rh
+            elif cs.curls is not None:
+                # sigma' multiplies both products, so each is scaled as it lands
+                rg *= cs.slopes[l - 1]
+                rh *= cs.curls[l - 1]
+                rh += rg
+                rg = np.matmul(deltas[l], dirs[l][0], out=backs[l - 1])
+                rg *= cs.slopes[l - 1]
+                rg += rh
+            else:
+                rg += np.matmul(deltas[l], dirs[l][0], out=rh)
+                if cs.slopes is not None:
+                    rg *= cs.slopes[l - 1]
+            r_d = rg
+        return out
+
     def logits(self, theta, idx=None) -> np.ndarray:
         idx = self._all_rows if idx is None else np.asarray(idx, dtype=np.intp)
         return self._forward(self.unpack(theta), idx)[0]
@@ -246,3 +400,36 @@ class MLPCost(CostFunction):
         logits = self.logits(theta)
         pred = np.argmax(logits, axis=1)
         return float(np.mean(pred == self.dataset.labels))
+
+
+class _Curvature:
+    """What every R-pass at one theta reads, kept between calls at an equal theta.
+
+    ``theta`` is a copy of the parameters the state belongs to, compared by
+    value while ``complete``, and ``layers`` its (W, b) views. ``ws`` holds, per
+    hidden layer, the activation h and the backprop signal delta at the
+    pre-activation (and the normalized first layer); ``deltas`` is those
+    signals plus (softmax - one-hot)/n at the logits and ``probs`` the softmax.
+    ``slopes`` is sigma'(z) per hidden layer (None for linear) and ``curls``
+    g sigma''/sigma' = -2 h g for tanh (None otherwise), g being the signal at
+    the activation's output. With the normalization layer, ``g_norm`` is the
+    signal at its output, ``hg`` the row dot h.g_norm and ``norm_state``
+    (||h||, eps + ||h||) with zeros read as one. ``dW_scratch`` holds one
+    weight-shaped product per layer; ``ones_rows`` and ``ones_classes`` turn
+    column and row sums into matrix-vector products. Buffers are made once,
+    on the first hvp.
+    """
+
+    def __init__(self, net):
+        n = net.dataset.n
+        hidden = net.layer_sizes[1:-1]
+        self.theta = np.empty(net.dimension)
+        self.layers = net.unpack(self.theta)
+        self.complete = False
+        self.ws = net._buffers(n)
+        self.slopes = None if net.activation == "linear" else [np.empty((n, w)) for w in hidden]
+        self.curls = [np.empty((n, w)) for w in hidden] if net.activation == "tanh" else None
+        self.g_norm = np.empty((n, hidden[0])) if net.normalize_first else None
+        self.dW_scratch = [W for W, _ in net.unpack(np.empty(net.dimension))]
+        self.ones_rows, self.ones_classes = np.ones(n), np.ones(net.layer_sizes[-1])
+        self.inputs = self.deltas = self.probs = self.norm_state = self.hg = None

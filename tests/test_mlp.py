@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdscope import ContractViolation, MLPCost, SynthSpec, synth_dataset
+from gdscope.costs import _EPS_CBRT, CostFunction
 
 from test_costs import central_fd_gradient
 
@@ -160,6 +161,7 @@ def _calls(net, rng):
     thetas = [net.init_params(s) + 0.3 * rng.standard_normal(net.dimension) for s in range(3)]
     batches = [rng.integers(0, net.dataset.n, size=k) for k in (32, 7, 32)]
     v = rng.standard_normal(net.dimension)
+    u = rng.standard_normal(net.dimension)
     return [
         ("gradient", lambda: net.gradient(thetas[0])),
         ("stochastic_gradient/32", lambda: net.stochastic_gradient(thetas[1], batches[0])),
@@ -169,8 +171,10 @@ def _calls(net, rng):
         ("logits", lambda: net.logits(thetas[2])),
         ("stochastic_gradient/7", lambda: net.stochastic_gradient(thetas[0], batches[1])),
         ("logits/7", lambda: net.logits(thetas[1], batches[1])),
+        ("hvp again", lambda: net.hvp(thetas[0], u)),  # the state at thetas[0], reused
         ("stochastic_gradient/32 again", lambda: net.stochastic_gradient(thetas[2], batches[2])),
         ("gradient again", lambda: net.gradient(thetas[1])),
+        ("hvp/thetas[1]", lambda: net.hvp(thetas[1], v)),  # another theta, recomputed
         ("accuracy", lambda: net.accuracy(thetas[0])),
     ]
 
@@ -213,23 +217,117 @@ def test_returned_arrays_do_not_alias_the_workspace(blob_dataset, kw):
         assert np.array_equal(k, snap)
 
 
+def _minor_faults_per_warm_call(call, calls=100):
+    import resource
+
+    for _ in range(5):
+        call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def _page_fault_net():
+    ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
+    net = MLPCost(ds, hidden_sizes=(32, 32), activation="tanh")
+    return net, net.init_params(7)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_minflt counts page faults on Linux")
 def test_warm_value_and_gradient_does_not_page_fault():
     # each call used to map its (rows x width) temporaries afresh: 272 faults per call here
-    import resource
+    net, theta = _page_fault_net()
+    faults = _minor_faults_per_warm_call(lambda: net.value_and_gradient(theta))
+    assert faults < 5, faults
 
-    ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
-    net = MLPCost(ds, hidden_sizes=(32, 32), activation="tanh")
-    theta = net.init_params(7)
-    for _ in range(5):
-        net.value_and_gradient(theta)
-    calls = 100
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(calls):
-        net.value_and_gradient(theta)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults / calls < 5, faults
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts page faults on Linux")
+def test_warm_hvp_does_not_page_fault():
+    # R-passes at one theta write into the workspace and the kept curvature state
+    net, theta = _page_fault_net()
+    v = np.random.default_rng(3).standard_normal(net.dimension)
+    faults = _minor_faults_per_warm_call(lambda: net.hvp(theta, v))
+    assert faults < 5, faults
+
+
+def _hvp_cases(net, seed, count=3):
+    """(theta, direction) pairs away from the initialization."""
+    rng = np.random.default_rng(seed)
+    return [(net.init_params(s) + 0.3 * rng.standard_normal(net.dimension),
+             rng.standard_normal(net.dimension)) for s in range(count)]
+
+
+def _active(net, theta):
+    """Which hidden pre-activations are positive, for every row and layer."""
+    a, pattern = net.dataset.features, []
+    for l, (W, b) in enumerate(net.unpack(theta)[:-1]):
+        z = a @ W.T + b
+        pattern.append(z > 0.0)
+        a = np.maximum(z, 0.0)
+        if l == 0 and net.normalize_first:
+            s = net.normalize_eps + np.linalg.norm(a, axis=1, keepdims=True)
+            a = a / np.where(s > 0.0, s, 1.0)  # the cost's convention for a dead row
+    return np.concatenate([p.ravel() for p in pattern])
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_hvp_matches_the_finite_difference_oracle(blob_dataset, kw):
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    checked = 0
+    for theta, v in _hvp_cases(net, 8, count=5):
+        step = _EPS_CBRT * (1.0 + np.linalg.norm(theta))  # CostFunction.hvp's step
+        if kw["activation"] == "relu":
+            # a relu kink within a step of theta breaks the difference, not the R-pass
+            vhat = v / np.linalg.norm(v)
+            if not all(np.array_equal(_active(net, theta), _active(net, theta + t * vhat))
+                       for t in (step, -step)):
+                continue
+        exact = net.hvp(theta, v)
+        fd = CostFunction.hvp(net, theta, v)
+        # the difference's error is O(step^2); a dropped curvature term is O(1)
+        assert np.linalg.norm(exact - fd) <= step * np.linalg.norm(fd)
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_hvp_is_symmetric_to_rounding(blob_dataset, kw):
+    # an exact Hessian product: u.Hw = w.Hu to rounding, relative to the
+    # Cauchy-Schwarz scale; the finite difference misses this by 3.5e-12 or more
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    rng = np.random.default_rng(9)
+    for theta, w in _hvp_cases(net, 9):
+        u = rng.standard_normal(net.dimension)
+        Hw, Hu = net.hvp(theta, w), net.hvp(theta, u)
+        scale = max(np.linalg.norm(u) * np.linalg.norm(Hw), np.linalg.norm(w) * np.linalg.norm(Hu))
+        assert abs(u @ Hw - w @ Hu) <= 1e-12 * scale, (u @ Hw, w @ Hu)
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_hvp_refuses_a_zero_direction(blob_dataset, kw):
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    theta = net.init_params(0)
+    with pytest.raises(ContractViolation):
+        net.hvp(theta, np.zeros(net.dimension))
+    net.hvp(theta, np.ones(net.dimension))  # with a state kept at theta
+    with pytest.raises(ContractViolation):
+        net.hvp(theta, np.zeros(net.dimension))
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_hvp_after_theta_is_mutated_in_place_is_a_fresh_costs(blob_dataset, kw):
+    # the state is keyed on theta's values, not on the array object
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    (theta, v), (other, _) = _hvp_cases(net, 10)[:2]
+    first = net.hvp(theta, v)
+    theta[:] = other
+    got = net.hvp(theta, v)
+    want = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw).hvp(other.copy(), v)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, first)
 
 
 def _head_cases(net, rng):

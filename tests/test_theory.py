@@ -183,8 +183,9 @@ def test_eps_regularized_normalization_sharpens_as_eps_shrinks():
 
 
 def test_relu_sharpness_matches_dense_central_difference_hessian():
-    # pre-activations here are small enough that a cbrt(eps)-scaled hvp step
-    # straddles relu kinks and reads 1281; the dense reference is about 140
+    # pre-activations here are small enough that a finite-difference hvp with a
+    # cbrt(eps)-scaled step straddles relu kinks and reads 1281; the dense
+    # reference, and the exact hvp, read about 140
     net, theta = _eps_scaled_relu_net(1e-2)
     h = 1e-7
     H = np.empty((net.dimension, net.dimension))
