@@ -6,6 +6,12 @@ construction and checked on every evaluation. Gradients are analytic (closed
 form here, backprop for the MLP). Hessian-vector products are analytic for
 quadratics, exact R-operator passes for the MLP, and a central finite
 difference of gradients for the remaining costs, all of which are C^2.
+
+Dataset-backed costs add minibatch gradients: ``stochastic_gradient`` over
+one index batch, and ``stochastic_gradients`` over a (k, b) stack of batches
+at one theta, which returns the k gradients as rows and must equal the
+row-by-row calls bit for bit. The base class makes exactly those calls; the
+MLP evaluates the stack in one pass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,20 @@ def as_finite(x, name: str) -> float:
     return x
 
 
+def as_batches(batches, n=None, ndim=2) -> np.ndarray:
+    """Validate minibatch row indices: a nonempty ``ndim``-D integer array whose
+    entries lie in [0, n) (not checked when n is None)."""
+    idx = np.asarray(batches, dtype=np.intp)
+    if idx.ndim != ndim or idx.size == 0:
+        what = "batch must be a nonempty 1-D" if ndim == 1 else "batches must be a nonempty (k, b)"
+        raise ContractViolation(f"{what} index array, got shape {idx.shape}")
+    if n is not None and (idx.min() < 0 or idx.max() >= n):
+        raise ContractViolation(
+            f"batch indices must lie in [0, {n}), got [{int(idx.min())}, {int(idx.max())}]"
+        )
+    return idx
+
+
 def _finite_or_inf(v: float) -> float:
     # overflow is reported as +Inf, never NaN
     return math.inf if math.isnan(v) else float(v)
@@ -55,6 +75,11 @@ class CostFunction:
     gradients with step cbrt(machine eps) * (1 + ||theta||), which suits C^2
     costs. Costs that are not C^2 (``is_c2 = False``: relu networks, whose hvp
     is the exact R-operator pass of ``MLPCost``) override ``hvp``.
+
+    Dataset-backed costs set ``num_examples`` and implement
+    ``stochastic_gradient``; ``stochastic_gradients`` defaults to one
+    ``stochastic_gradient`` per row of the batch stack, and a cost that
+    overrides it must return the same bits.
     """
 
     kind: str = "abstract"
@@ -99,6 +124,12 @@ class CostFunction:
 
     def stochastic_gradient(self, theta, batch) -> np.ndarray:
         raise ContractViolation(f"cost kind {self.kind!r} has no stochastic gradients")
+
+    def stochastic_gradients(self, theta, batches) -> np.ndarray:
+        """The minibatch gradient at theta of each row of the (k, b) index array
+        ``batches``, as a fresh (k, dim) array."""
+        batches = as_batches(batches, self.num_examples)
+        return np.stack([self.stochastic_gradient(theta, batch) for batch in batches])
 
 
 class Quadratic(CostFunction):
@@ -206,7 +237,9 @@ class WeightDecayWrapped(CostFunction):
     """Adds gamma * ||theta||^2 to an inner cost.
 
     Keeps (or overrides) the inner cost's homogeneous-coordinate index set so
-    the stationary-point analysis can see both pieces.
+    the stationary-point analysis can see both pieces. Has the inner cost's
+    ``accuracy`` exactly when the inner cost has one: decay does not change
+    predictions, so a classifier's accuracy stop rule still applies.
     """
 
     kind = "weight_decay_wrapped"
@@ -245,7 +278,18 @@ class WeightDecayWrapped(CostFunction):
     def num_examples(self):
         return self.inner.num_examples
 
+    @property
+    def accuracy(self):
+        # an AttributeError here (no inner accuracy) makes hasattr(self, "accuracy") False
+        return self.inner.accuracy
+
     def stochastic_gradient(self, theta, batch) -> np.ndarray:
         theta = self.check(theta)
         return self.inner.stochastic_gradient(theta, batch) + 2.0 * self.gamma * theta
+
+    def stochastic_gradients(self, theta, batches) -> np.ndarray:
+        theta = self.check(theta)
+        grads = self.inner.stochastic_gradients(theta, batches)
+        grads += 2.0 * self.gamma * theta
+        return grads
 

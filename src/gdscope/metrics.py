@@ -22,10 +22,12 @@ is warm-started from the previous point's Ritz vector.
 The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
 twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
 ``expected_rp_rhs`` its directional-smoothness form. Both are views of one
-paired draw, which evaluates theta once, draws each minibatch gradient g_b
-once and makes one ``value_and_gradient`` at each theta - eta*g_b, so the two
-estimates use the same samples. Whichever view is called first computes the
-pair and parks the other view's result in a one-entry memo. A later call of
+paired draw, which evaluates theta once, draws all minibatches first and
+takes their gradients g_b in one stacked ``stochastic_gradients`` call, and
+makes one ``value_and_gradient`` at each theta - eta*g_b, so the two
+estimates use the same samples; every sample's tau sweep is then integrated
+in one call. Whichever view is called first computes the pair and parks the
+other view's result in a one-entry memo. A later call of
 the other view with an equal key (the same cost object, theta's bytes, eta,
 batch_size, num_batches, seed, the same grad_sampler object and, for the
 RHS, the grid) takes it and clears the entry; every other call computes
@@ -146,19 +148,22 @@ def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
 def _weighted_integral(taus, dirs, include_zero_node=True):
     """Trapezoid of g(tau) = 2*tau*dir(tau), with g(0) linearly extrapolated.
 
-    With a single grid point the extrapolation degenerates to treating dir as
-    constant, i.e. g(0) = 0 and the integral is 2 * 0.5 * dir(tau_1) * tau_1.
+    ``dirs`` holds one tau sweep along its last axis; a (k, len(taus)) stack of
+    sweeps gives k integrals, each with the bits of its own 1-D call, and a
+    single sweep gives a float. With a single grid point the extrapolation
+    degenerates to treating dir as constant, i.e. g(0) = 0 and the integral is
+    2 * 0.5 * dir(tau_1) * tau_1.
     """
     g = 2.0 * taus * dirs
-    if not include_zero_node:
-        return float(_trapz(g, taus))
-    if taus.shape[0] >= 2:
-        g0 = g[0] - taus[0] * (g[1] - g[0]) / (taus[1] - taus[0])
-    else:
-        g0 = 0.0
-    nodes = np.concatenate(([0.0], taus))
-    vals = np.concatenate(([g0], g))
-    return float(_trapz(vals, nodes))
+    if include_zero_node:
+        if taus.shape[0] >= 2:
+            g0 = g[..., :1] - taus[0] * (g[..., 1:2] - g[..., :1]) / (taus[1] - taus[0])
+        else:
+            g0 = np.zeros_like(g[..., :1])
+        g = np.concatenate((g0, g), axis=-1)
+        taus = np.concatenate(([0.0], taus))
+    out = _trapz(g, taus, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def weighted_dir_integral(cost: CostFunction, theta, eta: float,
@@ -336,8 +341,10 @@ def segment_max_sharpness(cost: CostFunction, theta, eta: float, samples: int = 
 def _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
     """Gradient samples: minibatches drawn uniformly with replacement, so the
     sample mean is exactly unbiased for the full gradient. batch_size >= n
-    degenerates to the deterministic full batch. A grad_sampler(rng) callable
-    replaces minibatch sampling entirely (synthetic-noise studies)."""
+    degenerates to the deterministic full batch. Every batch is drawn first,
+    then all k gradients come from one ``stochastic_gradients`` call, as (k, dim)
+    rows. A grad_sampler(rng) callable replaces minibatch sampling entirely
+    (synthetic-noise studies); its samples come one call each, as a list."""
     if grad_sampler is not None:
         return [as_params(grad_sampler(rng), cost.dimension) for _ in range(num_batches)]
     n = cost.num_examples
@@ -347,14 +354,12 @@ def _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
         )
     if batch_size < 1:
         raise ContractViolation("batch_size must be >= 1")
-    out = []
-    for _ in range(num_batches):
-        if batch_size >= n:
-            batch = np.arange(n)
-        else:
-            batch = rng.integers(0, n, size=batch_size)
-        out.append(cost.stochastic_gradient(theta, batch))
-    return out
+    if batch_size >= n:
+        batches = np.broadcast_to(np.arange(n), (num_batches, n))
+    else:
+        # one draw per batch: a single (k, b) draw splits the rng stream differently
+        batches = np.stack([rng.integers(0, n, size=batch_size) for _ in range(num_batches)])
+    return cost.stochastic_gradients(theta, batches)
 
 
 def _mean_and_stderr(samples):
@@ -373,6 +378,7 @@ def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=N
     of ``_batch_gradients``) and makes one ``value_and_gradient`` at each
     theta - eta*g_b: its value is the LHS sample and its gradient serves the
     RHS node tau = 1; any other node of ``taus`` is evaluated by ``gradient``.
+    The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
     ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
     ``lhs_only``, which skips the RHS: each point then costs one ``value``.
     """
@@ -384,25 +390,26 @@ def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=N
     scale = eta * gnorm**2
     fused = taus[-1] == 1.0
     lhs = np.empty(num_batches)
-    weights = None if lhs_only else np.empty(num_batches)
+    sq_norms = np.empty(num_batches)
+    dirs = None if lhs_only else np.empty((num_batches, taus.shape[0]))
     for i, gb in enumerate(grads):
         point = theta - eta * gb
-        if weights is None or not fused:
+        if dirs is None or not fused:
             value, g_end = cost.value(point), None
         else:
             value, g_end = cost.value_and_gradient(point)
         lhs[i] = (value - loss) / scale
-        if weights is None:
+        if dirs is None:
             continue
         try:
-            dirs = _dir_along(cost, theta, g, gb, eta, taus, g_end)
+            dirs[i] = _dir_along(cost, theta, g, gb, eta, taus, g_end)
         except ZeroDirectionError:
-            weights = None
+            dirs = None
             continue
-        weights[i] = float(gb @ gb) / gnorm**2 * _weighted_integral(taus, dirs)
-    if weights is None:
+        sq_norms[i] = float(gb @ gb)
+    if dirs is None:
         return _mean_and_stderr(lhs), None
-    est, err = _mean_and_stderr(weights)
+    est, err = _mean_and_stderr(sq_norms / gnorm**2 * _weighted_integral(taus, dirs))
     return _mean_and_stderr(lhs), (-1.0 + 0.5 * eta * est, 0.5 * eta * err)
 
 

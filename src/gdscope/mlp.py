@@ -8,13 +8,24 @@ makes the first layer's parameters positively homogeneous, which is the
 hook the stationary-point diagnostics key on.
 
 Evaluation allocates nothing of size (rows x width) once warm. A cost keeps
-one workspace per row count it has evaluated (the dataset size, the
-minibatch size): an activation buffer and a backprop buffer per hidden
-layer, made on first use and kept for the cost's lifetime. Forward and
-backward passes write into them in place, and gradients are written straight
-into the vector that is returned, so returned arrays never alias the
-workspace. Because the workspace is shared state, one cost instance must not
-be evaluated from several threads at once; give each thread its own cost.
+one full-batch workspace, an activation buffer and a backprop buffer per
+hidden layer with one row per example, made on first use and kept for the
+cost's lifetime; a pass over fewer rows (a minibatch, a chunk of a batch
+stack) uses its leading rows, and only a batch longer than the dataset (rows
+drawn with repeats) gets a workspace of its own. Forward and backward passes
+write into them in place, and gradients are written straight into the array
+that is returned, so returned arrays never alias the workspace. Because the
+workspace is shared state, one cost instance must not be evaluated from
+several threads at once; give each thread its own cost.
+
+One backward pass serves every gradient. It runs over m equal blocks of
+rows, each block one batch: ``gradient``, ``value_and_gradient`` and
+``stochastic_gradient`` are the case m = 1, and ``stochastic_gradients``
+feeds a (k, b) batch stack through it in chunks of n // b batches, so a
+chunk fits in the full-batch workspace. Every matmul runs as a broadcast
+matmul over (m, b, .) views, which keeps each batch's own b-row GEMM: the
+rows of a stack round exactly like separate ``stochastic_gradient`` calls.
+Everything else in the pass is elementwise or row by row.
 
 ``value`` and the backward pass share one softmax head: the row max of the
 logits, exp(logits - max) and the row sum are computed once and serve both
@@ -41,11 +52,16 @@ import math
 
 import numpy as np
 
-from .costs import CostFunction, _finite_or_inf, as_params
+from .costs import CostFunction, _finite_or_inf, as_batches, as_params
 from .data import Dataset
 from .errors import ContractViolation
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
+
+
+def _blocks(x, m):
+    """The rows of x as m equal blocks: an (m, rows / m, cols) view, or x when m == 1."""
+    return x if m == 1 else x.reshape(m, -1, x.shape[-1])
 
 
 class MLPCost(CostFunction):
@@ -75,31 +91,33 @@ class MLPCost(CostFunction):
             (self.layer_sizes[i + 1], self.layer_sizes[i])
             for i in range(len(self.layer_sizes) - 1)
         ]
-        self.dimension = sum(o * i + o for o, i in self._shapes)
+        self._layout = []  # per layer: the weight slice of theta, its shape, the bias slice
+        pos = 0
+        for out, inp in self._shapes:
+            self._layout.append((slice(pos, pos + out * inp), (out, inp),
+                                 slice(pos + out * inp, pos + out * inp + out)))
+            pos += out * inp + out
+        self.dimension = pos
         self.is_c2 = activation != "relu"
         if normalize_first and activation in ("relu", "linear") and normalize_eps == 0.0:
-            n_first = self._shapes[0][0] * self._shapes[0][1] + self._shapes[0][0]
-            self.homogeneous_indices = np.arange(n_first, dtype=np.intp)
+            self.homogeneous_indices = np.arange(self._layout[0][2].stop, dtype=np.intp)
 
         self._onehot = np.zeros((dataset.n, dataset.num_classes))
         self._onehot[np.arange(dataset.n), dataset.labels] = 1.0
         self._all_rows = np.arange(dataset.n)
-        self._workspaces = {}  # row count -> _workspace buffers
+        self._workspaces = {}  # row count -> _workspace buffers or views
         self._curv = None  # _Curvature at the last theta an hvp saw
 
     # --- parameter packing -------------------------------------------------
 
     def unpack(self, theta):
-        theta = self.check(theta)
-        layers = []
-        pos = 0
-        for out, inp in self._shapes:
-            W = theta[pos : pos + out * inp].reshape(out, inp)
-            pos += out * inp
-            b = theta[pos : pos + out]
-            pos += out
-            layers.append((W, b))
-        return layers
+        return self._layer_views(self.check(theta))
+
+    def _layer_views(self, flat):
+        """(W, b) views of each layer in the last axis of ``flat``: W is (..., out, in)
+        and b (..., out), with ``flat``'s leading axes in front."""
+        lead = flat.shape[:-1]
+        return [(flat[..., w].reshape(lead + shape), flat[..., b]) for w, shape, b in self._layout]
 
     def init_params(self, seed) -> np.ndarray:
         """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
@@ -129,14 +147,22 @@ class MLPCost(CostFunction):
 
     def _workspace(self, rows):
         """The workspace ``_buffers`` for ``rows`` rows, made the first time a row count
-        is evaluated and kept for the cost's lifetime."""
+        is evaluated and kept for the cost's lifetime: below the dataset size, views
+        of the full-batch workspace's leading rows; otherwise buffers of its own."""
         ws = self._workspaces.get(rows)
         if ws is None:
-            ws = self._workspaces[rows] = self._buffers(rows)
+            if rows >= self.dataset.n:
+                ws = self._buffers(rows)
+            else:
+                acts, backs, normed = self._workspace(self.dataset.n)
+                ws = ([a[:rows] for a in acts], [d[:rows] for d in backs],
+                      None if normed is None else normed[:rows])
+            self._workspaces[rows] = ws
         return ws
 
-    def _forward(self, layers, idx, ws=None):
-        """(logits, the input to each layer, normalization state) for the rows idx.
+    def _forward(self, layers, idx, ws=None, m=1):
+        """(logits, the input to each layer, normalization state) for the rows idx,
+        taken as m equal blocks whose matmuls run block by block.
 
         Hidden activations are computed in place in ``ws`` (by default the
         workspace); with the normalization layer, the first hidden layer's
@@ -149,7 +175,8 @@ class MLPCost(CostFunction):
         norm_state = None
         for l, (W, b) in enumerate(layers[:-1]):
             inputs.append(a)
-            z = np.matmul(a, W.T, out=acts[l])
+            z = acts[l]
+            np.matmul(_blocks(a, m), W.T, out=_blocks(z, m))
             z += b
             if self.activation == "tanh":
                 np.tanh(z, out=z)
@@ -166,7 +193,10 @@ class MLPCost(CostFunction):
                 norm_state = (r_safe, s_safe)
         W, b = layers[-1]
         inputs.append(a)
-        return a @ W.T + b, inputs, norm_state
+        logits = np.empty((a.shape[0], W.shape[0]))
+        np.matmul(_blocks(a, m), W.T, out=_blocks(logits, m))
+        logits += b
+        return logits, inputs, norm_state
 
     def _softmax_head(self, logits, idx, with_loss):
         """(mean cross-entropy over the rows idx, or None without with_loss; softmax).
@@ -197,46 +227,67 @@ class MLPCost(CostFunction):
         return self._softmax_head(logits, self._all_rows, with_loss=True)[0]
 
     def gradient(self, theta) -> np.ndarray:
-        return self._backprop(theta, self._all_rows)[1]
+        grad = np.empty(self.dimension)
+        self._backprop(self.unpack(theta), self._all_rows, grad)
+        return grad
 
     def value_and_gradient(self, theta):
-        return self._backprop(theta, self._all_rows, with_loss=True)
+        grad = np.empty(self.dimension)
+        return self._backprop(self.unpack(theta), self._all_rows, grad, with_loss=True), grad
 
     def stochastic_gradient(self, theta, batch) -> np.ndarray:
-        idx = np.asarray(batch, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ContractViolation("batch must be a nonempty 1-D index collection")
-        if idx.min() < 0 or idx.max() >= self.dataset.n:
-            raise ContractViolation(
-                f"batch indices must lie in [0, {self.dataset.n}), got "
-                f"[{int(idx.min())}, {int(idx.max())}]"
-            )
-        return self._backprop(theta, idx)[1]
+        idx = as_batches(batch, self.dataset.n, ndim=1)
+        grad = np.empty(self.dimension)
+        self._backprop(self.unpack(theta), idx, grad)
+        return grad
 
-    def _backprop(self, theta, idx, with_loss=False):
-        """(value over the rows idx, or None without with_loss; gradient) from one forward pass.
+    def stochastic_gradients(self, theta, batches) -> np.ndarray:
+        """The (k, dim) minibatch gradients of the (k, b) batch stack at one theta.
 
-        Each layer's weight and bias gradients are written straight into their
-        slices of the returned vector. Once a layer's weight gradient is taken,
-        the activation stored for it is overwritten by the activation's
-        derivative, which is computed from the activation itself.
+        Bit for bit the rows ``stochastic_gradient`` gives batch by batch. The
+        stack goes through the backward pass in chunks of n // b batches (one
+        when b > n / 2), each chunk one forward and one backward pass over the
+        union of its rows, with its gradients written straight into their rows.
         """
+        batches = as_batches(batches, self.dataset.n)
         layers = self.unpack(theta)
-        logits, inputs, norm_state = self._forward(layers, idx)
+        k, b = batches.shape
+        chunk = max(1, self.dataset.n // b)
+        grads = np.empty((k, self.dimension))
+        for j in range(0, k, chunk):
+            m = min(chunk, k - j)
+            rows = grads[j] if m == 1 else grads[j : j + m]
+            self._backprop(layers, batches[j : j + m].ravel(), rows, m)
+        return grads
+
+    def _backprop(self, layers, idx, grad, m=1, with_loss=False):
+        """Fill ``grad`` with the gradient over each of the m equal blocks of the rows
+        idx: a (dim,) vector when m == 1, else (m, dim) rows. Returns the mean loss
+        over idx with ``with_loss``, else None.
+
+        One forward and one backward pass. Each layer's weight and bias gradients
+        are written straight into their slices of ``grad``, block by block. Once a
+        layer's weight gradient is taken, the activation stored for it is
+        overwritten by the activation's derivative, which is computed from the
+        activation itself.
+        """
+        ws = self._workspace(idx.size)
+        logits, inputs, norm_state = self._forward(layers, idx, ws, m)
         loss, d_z = self._softmax_head(logits, idx, with_loss)
         d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]  # softmax minus one-hot
-        d_z /= idx.size
+        d_z /= idx.size // m  # each block's mean over its own rows
 
-        acts, backs, normed = self._workspace(d_z.shape[0])
-        grad = np.empty(self.dimension)
-        grads = self.unpack(grad)
+        acts, backs, normed = ws
+        grads = self._layer_views(grad)
         for l in range(len(layers) - 1, -1, -1):
             dW, db = grads[l]
-            np.matmul(d_z.T, inputs[l], out=dW)
-            db[:] = d_z.sum(axis=0)
+            d_blocks = _blocks(d_z, m)
+            np.matmul(d_blocks.swapaxes(-1, -2), _blocks(inputs[l], m), out=dW)
+            d_blocks.sum(axis=-2, out=db)
             if l == 0:
                 break
-            d_a = np.matmul(d_z, layers[l][0], out=backs[l - 1])
+            d_a = backs[l - 1]
+            np.matmul(d_blocks, layers[l][0], out=_blocks(d_a, m))
             h = acts[l - 1]
             if l == 1 and norm_state is not None:
                 # d_a is w.r.t. the normalized output, whose buffer is free now that
@@ -252,7 +303,7 @@ class MLPCost(CostFunction):
                 # subgradient convention: derivative 0 at the kink
                 d_a *= np.greater(h, 0.0, out=h)
             d_z = d_a
-        return loss, grad
+        return loss
 
     def hvp(self, theta, v) -> np.ndarray:
         """Exact H v: Pearlmutter's R-operator, forward over reverse, over every row.

@@ -19,7 +19,7 @@ RUNTIME_BUDGETS_S = {
     "regime-signatures": 20.0,  # shared budget with the segment bound below
     "segment-sharpness-bound": 20.0,
     "homogeneous-block-gradient": 10.0,
-    "sgd-expected-rp": 600.0,
+    "sgd-expected-rp": 20.0,
     "sharpness-estimator": 2.0,
     "escape-experiment": 5.0,
 }

@@ -322,3 +322,23 @@ def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert all(field != "" for field in row[5:]), row
+
+
+@pytest.mark.parametrize("decay", ["0", "1e-12"])
+def test_stop_accuracy_holds_under_weight_decay(decay, tmp_path):
+    # the decayed classifier still has an accuracy, so its stop rule fires as without decay
+    cfg = MLP_CFG.replace("hidden = 4", f"hidden = 4\nweight_decay = {decay}").replace(
+        "eta = 0.1\nmax_iter = 2", "eta = 0.5\nmax_iter = 400\nstop_accuracy = 0.9")
+    summary = X.run_spec(X.parse_spec(io.StringIO(cfg), name_hint="decayed"), str(tmp_path))
+    assert (summary.outcome, summary.iterations) == ("converged", 7)
+
+
+def test_weight_decayed_quadratic_keeps_the_gradient_floor_rule(tmp_path):
+    # a quadratic has no accuracy, decayed or not: stop_accuracy cannot end its run
+    cfg = QUAD_CFG.replace("p_diag = 40, 2", "p_diag = 40, 2\nweight_decay = 0.5").replace(
+        "eta = 2/41\nmax_iter = 800", "eta = 1/41\nmax_iter = 800\nstop_accuracy = 0.5")
+    spec = X.parse_spec(io.StringIO(cfg), name_hint="decayed-quad")
+    assert not hasattr(X.build_cost(spec)[0], "accuracy")
+    summary = X.run_spec(spec, str(tmp_path))
+    assert summary.outcome == "converged"
+    assert 1 < summary.iterations < 800

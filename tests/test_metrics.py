@@ -35,6 +35,8 @@ from gdscope import (
     weighted_dir_integral,
 )
 
+from test_mlp import NETS
+
 
 class Cubic(CostFunction):
     """Scalar f = theta^3: the simplest cost whose dir genuinely varies in tau."""
@@ -147,6 +149,19 @@ def test_integral_single_node_grid_degenerate_rule():
     dir_at_one = directional_smoothness(cost, theta, eta * cost.gradient(theta))
     got = weighted_dir_integral(cost, theta, eta, QuadratureGrid(np.array([1.0])))
     assert got == pytest.approx(2 * 0.5 * dir_at_one, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 5, 40])
+def test_integral_of_a_sweep_stack_is_each_sweep_bit_for_bit(nodes):
+    # one call over (k, nodes) sweeps serves a whole Monte Carlo draw
+    taus = QuadratureGrid.default(nodes).taus
+    dirs = np.random.default_rng(nodes).standard_normal((7, nodes))
+    for zero_node in (True, False):
+        got = metrics._weighted_integral(taus, dirs, zero_node)
+        assert got.shape == (7,)
+        want = [metrics._weighted_integral(taus, row, zero_node) for row in dirs]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tolist() == want
 
 
 def test_grid_validation():
@@ -656,6 +671,36 @@ def test_expected_rp_views_match_the_scalar_loops(kind):
         _, want = _scalar_pair(*args, sampler=sampler, taus=taus)
         assert expected_rp_rhs(*args, grid=grid, grad_sampler=sampler) == want
         assert expected_rp(*args, grad_sampler=sampler) == lhs
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_expected_rp_views_match_the_scalar_loops_on_every_net(kw):
+    # the stacked draw (chunks of 4 batches of 16 rows here) against per-row stochastic_gradient
+    ds = synth_dataset(SynthSpec(n=64, d=4, classes=3, cluster_spread=0.6, seed=6))
+    cost = MLPCost(ds, hidden_sizes=(8, 6), **kw)
+    theta = cost.init_params(3) + 0.2 * np.random.default_rng(2).standard_normal(cost.dimension)
+    args = (cost, theta, 0.5, 16, 22, 7)
+    lhs, rhs = _scalar_pair(*args)
+    assert expected_rp(*args) == lhs
+    assert expected_rp_rhs(*args) == rhs
+    taus = (0.25, 0.5, 1.0)
+    _, want = _scalar_pair(*args, taus=taus)
+    assert expected_rp_rhs(*args, grid=QuadratureGrid(np.array(taus))) == want
+
+
+def test_a_network_pair_takes_its_minibatch_gradients_in_one_stacked_call(sgd_net):
+    net, theta = sgd_net
+    cost = MLPCost(net.dataset, hidden_sizes=(8,), activation="tanh")
+    calls = {"stochastic_gradient": 0, "stochastic_gradients": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(cost, name)):
+            calls[_name] += 1
+            return _method(*args)
+        setattr(cost, name, counted)
+    lhs = expected_rp(cost, theta, 0.3, 16, 160, seed=4)
+    rhs = expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4)
+    assert calls == {"stochastic_gradient": 0, "stochastic_gradients": 1}
+    assert (lhs, rhs) == _scalar_pair(net, theta, 0.3, 16, 160, 4)
 
 
 def test_a_checkpoint_pair_draws_and_evaluates_once(sgd_net):

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from gdscope import ContractViolation, MLPCost, SynthSpec, synth_dataset
+from gdscope import (ContractViolation, MLPCost, Quadratic, SynthSpec, WeightDecayWrapped,
+                     synth_dataset)
 from gdscope.costs import _EPS_CBRT, CostFunction
 
 from test_costs import central_fd_gradient
@@ -162,6 +163,7 @@ def _calls(net, rng):
     batches = [rng.integers(0, net.dataset.n, size=k) for k in (32, 7, 32)]
     v = rng.standard_normal(net.dimension)
     u = rng.standard_normal(net.dimension)
+    stack = rng.integers(0, net.dataset.n, size=(11, 7))  # two chunks of the 48-row workspace
     return [
         ("gradient", lambda: net.gradient(thetas[0])),
         ("stochastic_gradient/32", lambda: net.stochastic_gradient(thetas[1], batches[0])),
@@ -175,6 +177,7 @@ def _calls(net, rng):
         ("stochastic_gradient/32 again", lambda: net.stochastic_gradient(thetas[2], batches[2])),
         ("gradient again", lambda: net.gradient(thetas[1])),
         ("hvp/thetas[1]", lambda: net.hvp(thetas[1], v)),  # another theta, recomputed
+        ("stochastic_gradients/11x7", lambda: net.stochastic_gradients(thetas[2], stack)),
         ("accuracy", lambda: net.accuracy(thetas[0])),
     ]
 
@@ -209,6 +212,7 @@ def test_returned_arrays_do_not_alias_the_workspace(blob_dataset, kw):
         net.hvp(theta, rng.standard_normal(net.dimension)),
         net.logits(theta),
         net.logits(theta, np.arange(7)),
+        net.stochastic_gradients(theta, np.arange(35).reshape(5, 7)),
     ]
     snapshots = [k.copy() for k in kept]
     for _, call in _calls(net, rng):
@@ -251,6 +255,78 @@ def test_warm_hvp_does_not_page_fault():
     v = np.random.default_rng(3).standard_normal(net.dimension)
     faults = _minor_faults_per_warm_call(lambda: net.hvp(theta, v))
     assert faults < 5, faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts page faults on Linux")
+def test_warm_stacked_minibatch_gradients_do_not_page_fault():
+    # a checkpoint's 160 batches of 32 rows, in chunks of the full-batch workspace
+    net, theta = _page_fault_net()
+    batches = np.random.default_rng(4).integers(0, net.dataset.n, size=(160, 32))
+    faults = _minor_faults_per_warm_call(lambda: net.stochastic_gradients(theta, batches), 20)
+    assert faults < 5, faults
+
+
+def _stacks(n, rng):
+    """(name, (k, b) batch stack) pairs for an n-row dataset, chunked n // b batches at a time."""
+    return [
+        ("partial chunk", rng.integers(0, n, size=(n // 5 + 3, 5))),
+        ("b=1", rng.integers(0, n, size=(n + 2, 1))),
+        ("b>n/2", rng.integers(0, n, size=(3, n // 2 + 1))),
+        ("duplicates", np.array([[3, 3, 3, 7], [0, 0, n - 1, n - 1], [5, 5, 5, 5]])),
+        ("b>n", rng.integers(0, n, size=(2, n + 9))),
+        ("k=1", rng.integers(0, n, size=(1, 9))),
+    ]
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_stochastic_gradients_are_the_rows_bit_for_bit(blob_dataset, kw):
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    rng = np.random.default_rng(12)
+    theta = net.init_params(4) + 0.3 * rng.standard_normal(net.dimension)
+    for name, batches in _stacks(blob_dataset.n, rng):
+        got = net.stochastic_gradients(theta, batches)
+        assert got.shape == (len(batches), net.dimension), name
+        for row, batch in zip(got, batches):
+            assert np.array_equal(row, net.stochastic_gradient(theta, batch)), name
+        # the base class's row-by-row loop is the same oracle
+        assert np.array_equal(got, CostFunction.stochastic_gradients(net, theta, batches)), name
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_stochastic_gradients_over_every_row_are_the_gradient(blob_dataset, kw):
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    theta = net.init_params(5)
+    full = net.gradient(theta)
+    rows = net.stochastic_gradients(theta, np.tile(np.arange(blob_dataset.n), (3, 1)))
+    for row in rows:
+        assert np.array_equal(row, full)
+
+
+@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_weight_decayed_stochastic_gradients_are_the_rows(blob_dataset, kw):
+    net = WeightDecayWrapped(MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw), 0.03)
+    rng = np.random.default_rng(13)
+    theta = net.inner.init_params(6) + 0.3 * rng.standard_normal(net.dimension)
+    batches = rng.integers(0, blob_dataset.n, size=(13, 8))
+    got = net.stochastic_gradients(theta, batches)
+    for row, batch in zip(got, batches):
+        assert np.array_equal(row, net.stochastic_gradient(theta, batch))
+
+
+def test_stochastic_gradients_contracts(blob_dataset):
+    net = MLPCost(blob_dataset, hidden_sizes=(6,), activation="tanh")
+    theta = net.init_params(0)
+    bad = ([1, 2, 3], np.arange(5), [], np.empty((0, 4), dtype=int), np.empty((3, 0), dtype=int),
+           [[0, 48]], [[-1, 0]], np.zeros((2, 2, 2), dtype=int))
+    for cost in (net, WeightDecayWrapped(net, 0.1)):
+        for batches in bad:
+            with pytest.raises(ContractViolation):
+                cost.stochastic_gradients(theta, batches)
+            with pytest.raises(ContractViolation):
+                CostFunction.stochastic_gradients(cost, theta, batches)
+    with pytest.raises(ContractViolation):  # a cost without a dataset has none to stack
+        Quadratic(np.eye(2)).stochastic_gradients(np.zeros(2), [[0]])
 
 
 def _hvp_cases(net, seed, count=3):
