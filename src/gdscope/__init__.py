@@ -8,7 +8,7 @@ from .costs import (
     WeightDecayWrapped,
     as_params,
 )
-from .data import Dataset, SynthSpec, load_cifar10_binary, subsample, synth_dataset
+from .data import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -26,12 +26,9 @@ from .metrics import (
     expected_rp_rhs,
     grad_floor,
     relative_progress,
-    rp_approx_residual,
     segment_max_sharpness,
     sharpness,
-    tau_dir_stats,
     verify_identity,
-    weighted_dir_integral,
 )
 from .mlp import MLPCost
 from .optimizer import (

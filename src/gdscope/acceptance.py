@@ -194,12 +194,12 @@ def regime_signatures():
 
     stable = O.gd_run(cost, theta0, O.OptimizerConfig(
         eta=ETA_STABLE, max_iter=6000, metric_cadence=5, stop_accuracy=0.95))
-    call_s = O.classify_regime(stable, ETA_STABLE)
+    call_s = O.classify_regime(stable)
 
     unstable = O.gd_run(cost, theta0, O.OptimizerConfig(
         eta=ETA_UNSTABLE, max_iter=6000, metric_cadence=5, stop_accuracy=0.95),
         record_iterates=True)
-    call_u = O.classify_regime(unstable, ETA_UNSTABLE)
+    call_u = O.classify_regime(unstable)
     losses = [s.loss for s in unstable.samples]
 
     ok = (call_s.regime == O.REGIME_STABLE and call_s.frac_below_stable_cut >= 0.9

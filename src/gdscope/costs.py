@@ -73,8 +73,8 @@ class CostFunction:
     ``gradient``. ``value_and_gradient`` returns exactly their pair, by default
     by calling both; ``hvp`` defaults to a central finite difference of
     gradients with step cbrt(machine eps) * (1 + ||theta||), which suits C^2
-    costs. Costs that are not C^2 (``is_c2 = False``: relu networks, whose hvp
-    is the exact R-operator pass of ``MLPCost``) override ``hvp``.
+    costs only: a cost that is not C^2 must override ``hvp``, as ``MLPCost``
+    does for relu networks with its exact R-operator pass.
 
     Dataset-backed costs set ``num_examples`` and implement
     ``stochastic_gradient``; ``stochastic_gradients`` defaults to one
@@ -84,7 +84,6 @@ class CostFunction:
 
     kind: str = "abstract"
     dimension: int = 0
-    is_c2: bool = True
     # indices of the positively homogeneous parameter block, when one exists
     homogeneous_indices = None
 
@@ -174,11 +173,6 @@ class Quadratic(CostFunction):
             raise ContractViolation("hvp direction must be nonzero")
         return self.P @ v
 
-    @property
-    def smoothness(self) -> float:
-        """Gradient Lipschitz constant: the largest Hessian eigenvalue."""
-        return float(np.linalg.eigvalsh(self.P).max())
-
 
 class TanhQuadratic(CostFunction):
     """tanh applied on top of a quadratic: flattens the landscape away from the minimum."""
@@ -250,7 +244,6 @@ class WeightDecayWrapped(CostFunction):
         self.inner = inner
         self.gamma = float(gamma)
         self.dimension = inner.dimension
-        self.is_c2 = inner.is_c2
         if homogeneous_indices is not None:
             self.homogeneous_indices = np.asarray(homogeneous_indices, dtype=np.intp)
         else:

@@ -151,13 +151,3 @@ def load_cifar10_binary(path, n_take: int) -> Dataset:
     }
     return Dataset(features, labels, CIFAR_CLASSES, meta)
 
-
-def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Uniform subsample without replacement, order-preserving by original index."""
-    if n > dataset.n:
-        raise ContractViolation(f"cannot take {n} of {dataset.n} examples")
-    rng = np.random.default_rng(np.uint64(seed))
-    idx = np.sort(rng.choice(dataset.n, size=n, replace=False))
-    meta = dict(dataset.meta)
-    meta["subsample"] = {"n": int(n), "seed": int(seed)}
-    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.num_classes, meta)

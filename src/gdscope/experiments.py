@@ -276,8 +276,6 @@ def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,
         f"# resolved.metric_cadence = {config.cadence_for(cost)}",
         f"# resolved.init.seed = {spec.init.get('seed', 0)}",
     ]
-    if spec.flags.sharpness and not cost.is_c2:
-        lines.append("# sharpness = finite-difference surrogate (cost is not C2)")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.write(CSV_HEADER + "\n")
@@ -331,7 +329,7 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
     regime = reason = None
     defined_rp = sum(1 for s in traj.samples if s.rp is not None)
     if traj.outcome == O.OUTCOME_DIVERGED or defined_rp >= 10:
-        call = O.classify_regime(traj, the_eta)
+        call = O.classify_regime(traj)
         regime, reason = call.regime, call.reason
 
     outdir = Path(outdir)

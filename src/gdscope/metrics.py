@@ -166,19 +166,6 @@ def _weighted_integral(taus, dirs, include_zero_node=True):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def weighted_dir_integral(cost: CostFunction, theta, eta: float,
-                          grid: QuadratureGrid | None = None,
-                          include_zero_node: bool = True) -> float:
-    """Quadrature of 2 * integral_0^1 tau * dir_{eta*tau*grad}(theta) dtau.
-
-    ``include_zero_node=False`` drops the extrapolated tau=0 node; it exists
-    for fault injection in the self-check command and for quadrature studies.
-    """
-    taus = (grid or QuadratureGrid.default()).taus
-    theta, _, g, _ = _gradient_above_floor(cost, theta)
-    return _weighted_integral(taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
-
-
 def _identity_rhs(eta, taus, dirs, include_zero_node=True):
     """The identity's right side -1 + (eta/2) * weighted integral, from the tau sweep ``dirs``."""
     return -1.0 + 0.5 * eta * _weighted_integral(taus, dirs, include_zero_node)
@@ -187,7 +174,11 @@ def _identity_rhs(eta, taus, dirs, include_zero_node=True):
 def verify_identity(cost: CostFunction, theta, eta: float,
                     grid: QuadratureGrid | None = None,
                     include_zero_node: bool = True) -> IdentityCheck:
-    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once."""
+    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once.
+
+    ``include_zero_node=False`` drops the quadrature's extrapolated tau = 0
+    node; it exists for fault injection in the self-check command.
+    """
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     taus = (grid or QuadratureGrid.default()).taus
@@ -195,23 +186,6 @@ def verify_identity(cost: CostFunction, theta, eta: float,
     rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
     lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
-
-
-def rp_approx_residual(cost: CostFunction, theta, eta: float) -> float:
-    """|rp - (-1 + (eta/2) * dir at the full step)|: the identity on the one-node grid.
-
-    Small exactly when dir is nearly constant in tau; exact zero on quadratics.
-    """
-    return verify_identity(cost, theta, eta, QuadratureGrid.default(1)).residual
-
-
-def tau_dir_stats(cost: CostFunction, theta, eta: float,
-                  grid: QuadratureGrid | None = None):
-    """Mean and standard deviation of dir_{eta*tau*grad}(theta) over the tau grid."""
-    taus = (grid or QuadratureGrid.default()).taus
-    theta, _, g, _ = _gradient_above_floor(cost, theta)
-    dirs = _dir_along(cost, theta, g, g, eta, taus)
-    return float(np.mean(dirs)), float(np.std(dirs))
 
 
 # --- sharpness ---------------------------------------------------------------

@@ -67,7 +67,8 @@ def _blocks(x, m):
 class MLPCost(CostFunction):
     """Mean softmax cross-entropy of a dense network over a fixed dataset.
 
-    Not thread-safe: evaluations reuse the instance's per-row-count workspace.
+    Not thread-safe: evaluations reuse the instance's full-batch workspace and
+    curvature state (see the module docstring).
     """
 
     kind = "mlp"
@@ -98,7 +99,6 @@ class MLPCost(CostFunction):
                                  slice(pos + out * inp, pos + out * inp + out)))
             pos += out * inp + out
         self.dimension = pos
-        self.is_c2 = activation != "relu"
         if normalize_first and activation in ("relu", "linear") and normalize_eps == 0.0:
             self.homogeneous_indices = np.arange(self._layout[0][2].stop, dtype=np.intp)
 

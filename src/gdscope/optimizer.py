@@ -28,6 +28,12 @@ REGIME_STABLE = "stable"
 REGIME_UNSTABLE = "unstable"
 REGIME_DIVERGED = "diverged"
 
+# classify_regime's thresholds on the defined rp samples
+STABLE_RP_CUT = -0.5
+NEAR_ZERO_BAND = 0.25
+STABLE_FRAC = 0.9
+UNSTABLE_FRAC = 0.5
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -50,6 +56,10 @@ class OptimizerConfig:
             raise ContractViolation("stop_accuracy must lie in (0, 1]")
         if not self.blowup_threshold > 0:
             raise ContractViolation(f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
 
     def cadence_for(self, cost: CostFunction) -> int:
         if self.metric_cadence is not None:
@@ -68,8 +78,6 @@ class MetricFlags:
     tau_sweep: bool = False
     expected_rp: bool = False  # SGD epoch metric
     grid: Optional[M.QuadratureGrid] = None
-    sharpness_tol: float = 1e-6
-    sharpness_max_iter: int = 10_000
     expected_rp_batches: int = 64
 
 
@@ -129,11 +137,12 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     return None
 
 
-def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
+def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
     """The sample at iterate t, whether rp/dir are defined, and what it owes (or None).
 
     It owes (step, rhs): rp, dir and the identity's left side wait on the loss and
     gradient at theta - step, step = eta*g; rhs is the identity's right side, or None.
+    With ``look_ahead`` it evaluates theta - step itself and owes nothing.
     """
     sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
@@ -149,10 +158,13 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags):
         if flags.tau_sweep:
             sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
     if flags.sharpness and math.isfinite(loss):
-        sample.sharpness = float(M.sharpness(
-            cost, theta, flags.sharpness_tol, flags.sharpness_max_iter
-        ))  # the value only: the estimate's Ritz vector is not kept per sample
-    return sample, defined, (None if step is None else (step, rhs))
+        # the value only: the estimate's Ritz vector is not kept per sample
+        sample.sharpness = float(M.sharpness(cost, theta))
+    owes = None if step is None else (step, rhs)
+    if owes is not None and look_ahead:
+        _finish_step(sample, owes, g, *cost.value_and_gradient(theta - step), eta, flags)
+        owes = None
+    return sample, defined, owes
 
 
 def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
@@ -203,11 +215,9 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
         if at_cadence or terminal:
             try:
-                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
+                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta,
+                                             flags, look_ahead=terminal)
                 owed = (sample, owes, g) if owes is not None else None
-                if owed and terminal:  # look one iterate ahead
-                    _finish_step(*owed, *cost.value_and_gradient(theta - owes[0]),
-                                 config.eta, flags)
             except Exception as exc:
                 raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
             samples.append(sample)
@@ -245,10 +255,8 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         loss, g = cost.value_and_gradient(theta)
         gnorm = float(np.linalg.norm(g))
         try:
-            sample, defined, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta, flags)
-            if owes is not None:  # look one iterate ahead, as gd_run's terminal sample does
-                _finish_step(sample, owes, g, *cost.value_and_gradient(theta - owes[0]),
-                             config.eta, flags)
+            sample, defined, _ = _sample_at(cost, theta, t, loss, g, gnorm, config.eta,
+                                            flags, look_ahead=True)
             if defined and flags.expected_rp:
                 (sample.rp, _), _ = M._paired_draw(cost, theta, config.eta, batch,
                                                    flags.expected_rp_batches,
@@ -289,55 +297,46 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 class RegimeCall:
     regime: str
     reason: str
-    thresholds: dict
     rp_defined: int
     frac_below_stable_cut: float
     frac_near_zero: float
 
 
-def classify_regime(traj: Trajectory, eta: float, stable_rp_cut: float = -0.5,
-                    near_zero_band: float = 0.25, stable_frac: float = 0.9,
-                    unstable_frac: float = 0.5) -> RegimeCall:
+def classify_regime(traj: Trajectory) -> RegimeCall:
     """Label a finished trajectory stable / unstable / diverged.
 
-    Stable: >= stable_frac of defined rp samples below stable_rp_cut with
+    Stable: >= STABLE_FRAC of defined rp samples below STABLE_RP_CUT with
     non-increasing recorded loss. Unstable: net loss decrease with >=
-    unstable_frac of rp samples inside (-near_zero_band, +near_zero_band).
+    UNSTABLE_FRAC of rp samples inside (-NEAR_ZERO_BAND, +NEAR_ZERO_BAND).
     Anything else falls back to a majority vote on whether each rp sample
     sits closer to -1 (stable signature) or to 0 (unstable signature).
     """
-    thresholds = {
-        "stable_rp_cut": stable_rp_cut,
-        "near_zero_band": near_zero_band,
-        "stable_frac": stable_frac,
-        "unstable_frac": unstable_frac,
-    }
     if traj.outcome == OUTCOME_DIVERGED:
-        return RegimeCall(REGIME_DIVERGED, "trajectory diverged", thresholds, 0, 0.0, 0.0)
+        return RegimeCall(REGIME_DIVERGED, "trajectory diverged", 0, 0.0, 0.0)
     rps = np.array([s.rp for s in traj.samples if s.rp is not None])
     if rps.size < 10:
         raise ContractViolation(
             f"need >= 10 defined rp samples to classify, got {rps.size}"
         )
     losses = np.array([s.loss for s in traj.samples])
-    frac_stable = float(np.mean(rps < stable_rp_cut))
-    frac_zero = float(np.mean(np.abs(rps) < near_zero_band))
+    frac_stable = float(np.mean(rps < STABLE_RP_CUT))
+    frac_zero = float(np.mean(np.abs(rps) < NEAR_ZERO_BAND))
     loss_monotone = bool(np.all(np.diff(losses) <= 0.0))
     net_decrease = bool(losses[-1] < losses[0])
 
-    if frac_stable >= stable_frac and loss_monotone:
-        reason = (f"{frac_stable:.0%} of rp samples below {stable_rp_cut} "
+    if frac_stable >= STABLE_FRAC and loss_monotone:
+        reason = (f"{frac_stable:.0%} of rp samples below {STABLE_RP_CUT} "
                   "with non-increasing loss")
-        return RegimeCall(REGIME_STABLE, reason, thresholds, rps.size, frac_stable, frac_zero)
-    if net_decrease and frac_zero >= unstable_frac:
+        return RegimeCall(REGIME_STABLE, reason, rps.size, frac_stable, frac_zero)
+    if net_decrease and frac_zero >= UNSTABLE_FRAC:
         reason = (f"net loss decrease with {frac_zero:.0%} of rp samples inside "
-                  f"(-{near_zero_band}, {near_zero_band})")
-        return RegimeCall(REGIME_UNSTABLE, reason, thresholds, rps.size, frac_stable, frac_zero)
+                  f"(-{NEAR_ZERO_BAND}, {NEAR_ZERO_BAND})")
+        return RegimeCall(REGIME_UNSTABLE, reason, rps.size, frac_stable, frac_zero)
     votes_stable = int(np.sum(np.abs(rps + 1.0) < np.abs(rps)))
     regime = REGIME_STABLE if votes_stable * 2 >= rps.size else REGIME_UNSTABLE
     reason = (f"majority sign-proximity fallback: {votes_stable}/{rps.size} "
               "samples closer to -1 than to 0")
-    return RegimeCall(regime, reason, thresholds, rps.size, frac_stable, frac_zero)
+    return RegimeCall(regime, reason, rps.size, frac_stable, frac_zero)
 
 
 @dataclass(frozen=True)
@@ -356,8 +355,8 @@ def escape_experiment(cost: CostFunction, p, perturb_scale: float, eta: float,
     at infinite distance. Also reports the largest iterate norm seen, so
     escape can be distinguished from divergence.
     """
-    if perturb_scale <= 0 or trials < 1:
-        raise ContractViolation("need perturb_scale > 0 and trials >= 1")
+    if not (perturb_scale > 0 and eta > 0 and iters >= 1 and trials >= 1):
+        raise ContractViolation("need perturb_scale > 0, eta > 0, iters >= 1 and trials >= 1")
     p = as_params(p, cost.dimension)
     rng = np.random.default_rng(np.uint64(seed))
     distances = np.empty(trials)

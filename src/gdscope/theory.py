@@ -28,10 +28,6 @@ class QuadraticSpectrum:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
 
 def _check_symmetric(P) -> np.ndarray:
     P = np.ascontiguousarray(P, dtype=np.float64)

@@ -12,13 +12,13 @@ from gdscope import acceptance
 
 RUNTIME_BUDGETS_S = {
     "quadratic-stability-boundary": 1.0,
-    "rp-dir-identity": 30.0,
+    "rp-dir-identity": 5.0,
     "edge-oscillation": 1.0,
     "flattened-quadratic-bounded": 1.0,
-    "single-neuron-dichotomy": 5.0,
+    "single-neuron-dichotomy": 1.0,
     "regime-signatures": 20.0,  # shared budget with the segment bound below
     "segment-sharpness-bound": 20.0,
-    "homogeneous-block-gradient": 10.0,
+    "homogeneous-block-gradient": 2.0,
     "sgd-expected-rp": 20.0,
     "sharpness-estimator": 2.0,
     "escape-experiment": 5.0,

@@ -237,7 +237,8 @@ path = relu-sharp.csv
     rc = cli.main(["run", str(cfg), "--outdir", str(tmp_path)])
     assert rc == 0
     text = (tmp_path / "relu-sharp.csv").read_text()
-    assert "finite-difference surrogate" in text
+    # the relu hvp is exact, so the header no longer flags a surrogate
+    assert "surrogate" not in text
     # sharpness column populated
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[1].split(",")[5] != ""
@@ -317,7 +318,7 @@ def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
     assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
     text = (tmp_path / "sgd-metrics.csv").read_text()
     assert "# algorithm = sgd" in text
-    assert "finite-difference surrogate" in text
+    assert "surrogate" not in text
     rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 3
     for row in rows:

@@ -26,7 +26,6 @@ def test_quadratic_value_gradient():
     q = Quadratic(np.diag([40.0, 2.0]))
     assert q.value([1.0, 1.0]) == 21.0  # 20*1 + 1*1
     assert np.array_equal(q.gradient([1.0, 1.0]), [40.0, 2.0])
-    assert q.smoothness == 40.0
 
 
 def test_quadratic_affine_terms():

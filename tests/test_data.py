@@ -10,7 +10,6 @@ from gdscope import (
     SynthSpec,
     gd_run,
     load_cifar10_binary,
-    subsample,
     synth_dataset,
 )
 
@@ -100,29 +99,3 @@ def test_cifar_too_many_requested(tmp_path):
         load_cifar10_binary(path, 3)
 
 
-def test_subsample_identity_and_determinism():
-    ds = synth_dataset(SynthSpec(n=32, d=3, classes=4, seed=5))
-    full = subsample(ds, 32, seed=1)
-    assert np.array_equal(full.features, ds.features)
-    a = subsample(ds, 10, seed=2)
-    b = subsample(ds, 10, seed=2)
-    assert np.array_equal(a.features, b.features)
-    with pytest.raises(ContractViolation):
-        subsample(ds, 33, seed=0)
-
-
-def test_subsample_order_preserving():
-    ds = synth_dataset(SynthSpec(n=100, d=2, classes=2, seed=8))
-    sub = subsample(ds, 30, seed=4)
-    # features must appear in original order: match each row back to its index
-    idx = [int(np.nonzero((ds.features == row).all(axis=1))[0][0]) for row in sub.features]
-    assert idx == sorted(idx)
-
-
-def test_subsample_class_proportions():
-    ds = synth_dataset(SynthSpec(n=2000, d=2, classes=4, seed=3))
-    parent = np.bincount(ds.labels, minlength=4) / ds.n
-    for seed in range(100):
-        sub = subsample(ds, 1000, seed=seed)
-        props = np.bincount(sub.labels, minlength=4) / sub.n
-        assert np.max(np.abs(props - parent)) <= 0.05

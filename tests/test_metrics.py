@@ -25,14 +25,11 @@ from gdscope import (
     expected_rp_rhs,
     gd_run,
     relative_progress,
-    rp_approx_residual,
     segment_max_sharpness,
     sgd_run,
     sharpness,
     synth_dataset,
-    tau_dir_stats,
     verify_identity,
-    weighted_dir_integral,
 )
 
 from test_mlp import NETS
@@ -119,9 +116,20 @@ def test_dir_rejects_zero_direction():
 # --- weighted dir integral -----------------------------------------------------
 
 
+def _integral(cost, theta, eta, grid=None):
+    """The weighted dir integral, read back from the identity's right side."""
+    return (verify_identity(cost, theta, eta, grid).rhs + 1.0) * 2.0 / eta
+
+
+def _sweep(cost, theta, eta, taus):
+    """dir_{eta*tau*grad}(theta) at each tau, one standalone call a node."""
+    g = cost.gradient(theta)
+    return np.array([directional_smoothness(cost, theta, (eta * tau) * g) for tau in taus])
+
+
 def test_integral_exact_for_constant_dir():
     cost = Quadratic(np.diag([40.0, 2.0]))
-    got = weighted_dir_integral(cost, [1.0, 0.0], 2 / 40)
+    got = _integral(cost, [1.0, 0.0], 2 / 40)
     assert got == pytest.approx(40.0, abs=1e-10)
 
 
@@ -130,7 +138,7 @@ def test_integral_cubic_against_brute_force_riemann():
     theta, eta = np.array([1.0]), 0.1
     n = 100_000
     grid = QuadratureGrid(np.linspace(1.0 / n, 1.0, n))
-    got = weighted_dir_integral(cost, theta, eta, grid)
+    got = _integral(cost, theta, eta, grid)
 
     # brute-force midpoint Riemann sum in independent scalar arithmetic
     grad0 = 3.0 * theta[0] ** 2
@@ -147,7 +155,7 @@ def test_integral_single_node_grid_degenerate_rule():
     cost = Quadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([1.0, 0.0]), 0.01
     dir_at_one = directional_smoothness(cost, theta, eta * cost.gradient(theta))
-    got = weighted_dir_integral(cost, theta, eta, QuadratureGrid(np.array([1.0])))
+    got = _integral(cost, theta, eta, QuadratureGrid(np.array([1.0])))
     assert got == pytest.approx(2 * 0.5 * dir_at_one, abs=1e-12)
 
 
@@ -223,14 +231,15 @@ def test_identity_residual_shrinks_under_refinement():
 
 def test_identity_sides_equal_the_standalone_metrics(mid_training_mlp):
     # verify_identity evaluates theta once; both sides must still be bit-identical
-    # to relative_progress and weighted_dir_integral computed on their own
+    # to relative_progress and a directional_smoothness sweep computed on their own
     net, theta = mid_training_mlp
     eta = 2 / 60
     for grid, zero_node in ((None, True), (QuadratureGrid.default(37), False)):
         check = verify_identity(net, theta, eta, grid, include_zero_node=zero_node)
         assert check.lhs == relative_progress(net, theta, eta)
-        assert check.rhs == -1.0 + 0.5 * eta * weighted_dir_integral(
-            net, theta, eta, grid, include_zero_node=zero_node)
+        taus = (grid or QuadratureGrid.default()).taus
+        assert check.rhs == -1.0 + 0.5 * eta * metrics._weighted_integral(
+            taus, _sweep(net, theta, eta, taus), zero_node)
         assert check.residual == abs(check.lhs - check.rhs)
 
 # --- single-tau approximation --------------------------------------------------
@@ -241,16 +250,16 @@ def test_rp_approx_residual_zero_on_quadratics():
     rng = np.random.default_rng(12)
     for _ in range(10):
         theta = rng.standard_normal(3)
-        assert rp_approx_residual(cost, theta, 0.05) <= 1e-12
+        assert verify_identity(cost, theta, 0.05, QuadratureGrid.default(1)).residual <= 1e-12
 
 
 def test_rp_approx_residual_cubic_oracle():
     cost = Cubic()
     theta, eta = np.array([1.0]), 0.1
-    got = rp_approx_residual(cost, theta, eta)
+    got = verify_identity(cost, theta, eta, QuadratureGrid.default(1)).residual
     g = cost.gradient(theta)
     dir_full = directional_smoothness(cost, theta, eta * g)
-    integral = weighted_dir_integral(cost, theta, eta, QuadratureGrid.default(10_000))
+    integral = _integral(cost, theta, eta, QuadratureGrid.default(10_000))
     want = abs(0.5 * eta * (dir_full - integral))
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -258,8 +267,8 @@ def test_rp_approx_residual_cubic_oracle():
 def test_rp_approx_residual_bounded_by_tau_spread(mid_training_mlp):
     net, theta = mid_training_mlp
     eta = 0.5
-    res = rp_approx_residual(net, theta, eta)
-    _, std = tau_dir_stats(net, theta, eta)
+    res = verify_identity(net, theta, eta, QuadratureGrid.default(1)).residual
+    std = float(np.std(_sweep(net, theta, eta, QuadratureGrid.default().taus)))
     assert res <= std * eta / 2 + 1e-3
 
 

@@ -13,6 +13,7 @@ from gdscope import (
     TanhQuadratic,
     Trajectory,
     classify_regime,
+    directional_smoothness,
     escape_experiment,
     gd_run,
     grad_floor,
@@ -20,7 +21,6 @@ from gdscope import (
     sgd_run,
     sharpness,
     synth_dataset,
-    tau_dir_stats,
     verify_identity,
 )
 
@@ -101,6 +101,12 @@ def test_config_validation():
         OptimizerConfig(eta=0.1, metric_cadence=0)
     with pytest.raises(ContractViolation):
         OptimizerConfig(eta=0.1, stop_accuracy=1.5)
+    # sgd_run took no step at batch_size < 0, and failed outside the contract at
+    # batch_size = 0 (range) and seed < 0 (the uint64 seed)
+    for bad in ({"batch_size": 0}, {"batch_size": -5}, {"seed": -1}):
+        with pytest.raises(ContractViolation):
+            OptimizerConfig(eta=0.1, **bad)
+    OptimizerConfig(eta=0.1, batch_size=1, seed=0)  # the edges are valid
 
 
 # --- SGD -------------------------------------------------------------------
@@ -180,7 +186,7 @@ def _fake_traj(rps, losses, outcome="budget_exhausted"):
 def test_classify_stable_signature():
     rps = [-0.95] * 20
     losses = list(np.linspace(2.0, 0.5, 20))
-    call = classify_regime(_fake_traj(rps, losses), eta=0.01)
+    call = classify_regime(_fake_traj(rps, losses))
     assert call.regime == "stable"
     assert call.frac_below_stable_cut == 1.0
 
@@ -189,34 +195,25 @@ def test_classify_unstable_signature():
     rps = [-0.9] * 4 + [0.05, -0.1, 0.2, -0.05, 0.1, -0.2, 0.15, -0.12, 0.08, -0.03]
     losses = list(np.linspace(2.0, 1.8, 4)) + [1.9, 1.7, 1.85, 1.6, 1.75, 1.5,
                                                1.65, 1.4, 1.55, 1.3]
-    call = classify_regime(_fake_traj(rps, losses), eta=0.5)
+    call = classify_regime(_fake_traj(rps, losses))
     assert call.regime == "unstable"
     assert call.frac_near_zero >= 0.5
 
 
 def test_classify_diverged_and_too_few():
-    call = classify_regime(_fake_traj([0.1] * 3, [1.0] * 3, outcome="diverged"), eta=0.1)
+    call = classify_regime(_fake_traj([0.1] * 3, [1.0] * 3, outcome="diverged"))
     assert call.regime == "diverged"
     with pytest.raises(ContractViolation):
-        classify_regime(_fake_traj([-0.9] * 5, [1.0] * 5), eta=0.1)
+        classify_regime(_fake_traj([-0.9] * 5, [1.0] * 5))
 
 
 def test_classify_majority_fallback():
     # neither clean signature: loss increases overall, rp mixed
     rps = [-0.9] * 7 + [-0.05] * 5
     losses = list(np.linspace(1.0, 1.4, 12))
-    call = classify_regime(_fake_traj(rps, losses), eta=0.1)
+    call = classify_regime(_fake_traj(rps, losses))
     assert call.regime == "stable"
     assert "majority" in call.reason
-
-
-def test_classify_thresholds_overridable():
-    rps = [-0.6] * 12
-    losses = list(np.linspace(2.0, 0.5, 12))
-    default = classify_regime(_fake_traj(rps, losses), eta=0.1)
-    assert default.regime == "stable"
-    relaxed = classify_regime(_fake_traj(rps, losses), eta=0.1, stable_rp_cut=-0.7)
-    assert relaxed.regime != "stable" or relaxed.frac_below_stable_cut == 0.0
 
 
 # --- escape ------------------------------------------------------------------
@@ -234,6 +231,15 @@ def test_escape_control_stays_put():
     res = escape_experiment(q, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 41,
                             iters=400, trials=100, seed=1)
     assert res.fraction == 0.0
+
+
+@pytest.mark.parametrize("bad", [{"eta": -1.0}, {"eta": 0.0}, {"iters": 0}],
+                         ids=["eta=-1", "eta=0", "iters=0"])
+def test_escape_rejects_nonpositive_eta_and_iters(bad):
+    # eta < 0 is gradient ascent, which "escapes" every trial
+    args = dict(perturb_scale=1e-4, eta=2 / 39, iters=10, trials=3, seed=1) | bad
+    with pytest.raises(ContractViolation):
+        escape_experiment(Quadratic(np.diag([40.0, 2.0])), [0.0, 0.0], **args)
 
 
 def test_escape_flattened_quadratic_bounded():
@@ -257,7 +263,10 @@ def test_sgd_records_sharpness_identity_and_tau_sweep():
     for s, theta in zip(traj.samples, traj.iterates):
         assert s.sharpness == sharpness(net, theta)
         assert s.identity_residual == verify_identity(net, theta, 0.3, grid).residual
-        assert (s.tau_dir_mean, s.tau_dir_std) == tau_dir_stats(net, theta, 0.3, grid)
+        g = net.gradient(theta)
+        dirs = np.array([directional_smoothness(net, theta, (0.3 * tau) * g)
+                         for tau in grid.taus])
+        assert (s.tau_dir_mean, s.tau_dir_std) == (float(np.mean(dirs)), float(np.std(dirs)))
 
 
 def test_sgd_long_run_loss_decreases():
@@ -270,11 +279,17 @@ def test_sgd_long_run_loss_decreases():
     assert traj.samples[-1].loss < traj.samples[1].loss
 
 
+class _SkewHvp(Quadratic):
+    """An hvp that is not symmetric: Lanczos cannot certify a Ritz pair of it."""
+
+    def hvp(self, theta, v):
+        return np.array([[10.0, 5.0], [0.0, 9.99]]) @ v
+
+
 def test_metric_evaluation_errors_name_the_iteration():
-    # a sharpness budget of 1 cannot converge; the abort must say where
-    q = Quadratic(np.diag([10.0, 9.99]))
-    flags = MetricFlags(rp=False, dir=False, sharpness=True,
-                        sharpness_tol=1e-15, sharpness_max_iter=1)
+    # an uncertifiable sharpness estimate aborts the run; the abort must say where
+    q = _SkewHvp(np.diag([10.0, 9.99]))
+    flags = MetricFlags(rp=False, dir=False, sharpness=True)
     with pytest.raises(RuntimeError, match="iteration 0"):
         gd_run(q, [1.0, 1.0], OptimizerConfig(eta=0.01, max_iter=5), flags)
 
