@@ -1,22 +1,25 @@
 """End-to-end acceptance criteria for the package.
 
 Each criterion exercises a pinned, seeded configuration and checks a stated
-tolerance. ``check_all`` runs them in order and returns one result per
-criterion; the CLI ``check`` subcommand prints a machine-readable line for
-each. The hidden corrupt_quadrature switch injects a broken quadrature rule
-(the tau -> 0 node is dropped) to prove the identity criterion actually bites.
+tolerance; one with a shipped preset builds its run from that preset, which
+``gdscope run <preset>`` replays. ``check_all`` runs them in order and returns
+one result per criterion; the CLI ``check`` subcommand prints a
+machine-readable line for each. The hidden corrupt_quadrature switch injects a
+broken quadrature rule (the tau -> 0 node is dropped) to prove the identity
+criterion actually bites.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
 
 from . import costs as C
 from . import data as D
+from . import experiments as E
 from . import metrics as M
 from . import mlp as NN
 from . import optimizer as O
@@ -41,33 +44,25 @@ def _result(name, measured, bound, passed) -> CriterionResult:
     return CriterionResult(name, measured, bound, bool(passed))
 
 
-# --- shared fixtures -----------------------------------------------------------
-
-BLOBS = D.SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11)
-MLP_HIDDEN = (32, 32)
-MLP_INIT_SEED = 7
-ETA_STABLE = 2 / 20
-ETA_UNSTABLE = 2 / 2
-
-
-def _diag402():
-    return C.Quadratic(np.diag([40.0, 2.0]))
+def _preset_run(name):
+    """(spec, cost, theta0) of the shipped preset ``name``."""
+    spec = E.load_preset(name)
+    cost, theta0 = E.build_cost(spec)
+    return spec, cost, theta0
 
 
 def quadratic_stability_boundary() -> CriterionResult:
-    """GD on diag(40,2) from (1,1): diverge / oscillate / converge across 2/L."""
-    q = _diag402()
-    got = {}
+    """quad-sweep, GD on diag(40,2) from (1,1): diverge / oscillate / converge across 2/L."""
+    spec, q, theta0 = _preset_run("quad-sweep")
+    outcomes = []
     agree = True
-    for eta in (2 / 39, 2 / 40, 2 / 41):
-        traj = O.gd_run(q, [1.0, 1.0], O.OptimizerConfig(eta=eta, max_iter=2000),
-                        O.MetricFlags(rp=False, dir=False))
-        got[eta] = traj.outcome
+    for eta in spec.etas:
+        traj = O.gd_run(q, theta0, spec.optimizer_config(eta), spec.flags)
+        outcomes.append(traj.outcome)
         agree &= T.quadratic_divergence_oracle(q.P, eta) == (traj.outcome == O.OUTCOME_DIVERGED)
-    ok = (got[2 / 39] == O.OUTCOME_DIVERGED and got[2 / 40] == O.OUTCOME_BUDGET
-          and got[2 / 41] == O.OUTCOME_CONVERGED and agree)
-    measured = (f"2/39:{got[2/39]} 2/40:{got[2/40]} 2/41:{got[2/41]} "
-                f"oracle_agreement={agree}")
+    ok = outcomes == [O.OUTCOME_DIVERGED, O.OUTCOME_BUDGET, O.OUTCOME_CONVERGED] and agree
+    measured = " ".join(f"2/{2 / eta:.0f}:{got}" for eta, got in zip(spec.etas, outcomes))
+    measured += f" oracle_agreement={agree}"
     return _result("quadratic-stability-boundary", measured,
                    "diverged / budget_exhausted / converged, oracle agreement", ok)
 
@@ -135,26 +130,25 @@ def rp_dir_identity(corrupt_quadrature: bool = False) -> CriterionResult:
 
 
 def edge_oscillation() -> CriterionResult:
-    """At eta = 2/L the surviving top mode oscillates: dir * eta/2 -> 1."""
-    q = _diag402()
-    eta = 2 / 40
-    traj = O.gd_run(q, [1.0, 1.0], O.OptimizerConfig(eta=eta, max_iter=200),
-                    O.MetricFlags(rp=False, dir=False))
+    """quad-sweep at eta = 2/L: the surviving top mode oscillates, dir * eta/2 -> 1."""
+    spec, q, theta0 = _preset_run("quad-sweep")
+    _, eta, _ = spec.etas  # diverging, 2/L, converging
+    config = replace(spec.optimizer_config(eta), max_iter=200)
+    traj = O.gd_run(q, theta0, config, spec.flags)
     g = q.gradient(traj.final_theta)
     ratio = M.directional_smoothness(q, traj.final_theta, eta * g) * eta / 2.0
     ok = 0.999 <= ratio <= 1.001
-    return _result("edge-oscillation", f"dir*eta/2={ratio:.9f} after 200 steps",
+    return _result("edge-oscillation", f"dir*eta/2={ratio:.9f} after {config.max_iter} steps",
                    "within [0.999, 1.001]", ok)
 
 
 def flattened_quadratic_bounded() -> CriterionResult:
-    """tanh-flattened quadratic at a diverging step size stays bounded for every step.
-
-    Starts at (0.1, 0.1): from (1, 1) tanh(21) == 1.0, the gradient is 0 and no step is taken."""
-    steps = 10_000
-    cost = C.TanhQuadratic(np.diag([40.0, 2.0]))
-    traj = O.gd_run(cost, [0.1, 0.1], O.OptimizerConfig(eta=2 / 39, max_iter=steps),
-                    O.MetricFlags(rp=False, dir=False), record_iterates=True)
+    """flat-quad: the tanh-flattened quadratic at a diverging step size stays bounded
+    for every step."""
+    spec, cost, theta0 = _preset_run("flat-quad")
+    config = spec.optimizer_config(spec.etas[0])
+    steps = config.max_iter
+    traj = O.gd_run(cost, theta0, config, spec.flags, record_iterates=True)
     taken = traj.samples[-1].iteration
     max_norm = max(float(np.linalg.norm(th)) for th in traj.iterates)
     ok = (traj.outcome == O.OUTCOME_BUDGET and taken == steps
@@ -165,14 +159,12 @@ def flattened_quadratic_bounded() -> CriterionResult:
 
 
 def single_neuron_dichotomy() -> CriterionResult:
-    """Linear net blows up; tanh net settles at curvature ~= 2/eta."""
-    eta = 2 / 150
-    flags = O.MetricFlags(rp=False, dir=False)
-    lin = O.gd_run(C.SingleNeuron("linear"), [13.0, 0.01],
-                   O.OptimizerConfig(eta=eta, max_iter=20_000, metric_cadence=100), flags)
-    tanh_cost = C.SingleNeuron("tanh")
-    tnh = O.gd_run(tanh_cost, [13.0, 0.01],
-                   O.OptimizerConfig(eta=eta, max_iter=60_000, metric_cadence=100), flags)
+    """single-neuron-linear blows up; single-neuron-tanh settles at curvature ~= 2/eta."""
+    spec, cost, theta0 = _preset_run("single-neuron-linear")
+    lin = O.gd_run(cost, theta0, spec.optimizer_config(spec.etas[0]), spec.flags)
+    spec, tanh_cost, theta0 = _preset_run("single-neuron-tanh")
+    eta = spec.etas[0]
+    tnh = O.gd_run(tanh_cost, theta0, spec.optimizer_config(eta), spec.flags)
     sharp = M.sharpness(tanh_cost, tnh.final_theta, tol=1e-8)
     rel = abs(sharp - 2 / eta) / (2 / eta)
     ok = (lin.outcome == O.OUTCOME_DIVERGED and tnh.outcome != O.OUTCOME_DIVERGED
@@ -183,22 +175,16 @@ def single_neuron_dichotomy() -> CriterionResult:
                    "linear diverges, tanh converges with sharpness within 5% of 2/eta", ok)
 
 
-def _classifier():
-    return NN.MLPCost(D.synth_dataset(BLOBS), hidden_sizes=MLP_HIDDEN, activation="tanh")
-
-
 def regime_signatures():
-    """Returns (CriterionResult, unstable trajectory) so the segment bound can reuse it."""
-    cost = _classifier()
-    theta0 = cost.init_params(MLP_INIT_SEED)
-
-    stable = O.gd_run(cost, theta0, O.OptimizerConfig(
-        eta=ETA_STABLE, max_iter=6000, metric_cadence=5, stop_accuracy=0.95))
+    """Returns (CriterionResult, (cost, unstable trajectory, eta)) for the segment bound."""
+    spec, cost, theta0 = _preset_run("mlp-gd-stable")
+    stable = O.gd_run(cost, theta0, spec.optimizer_config(spec.etas[0]), spec.flags)
     call_s = O.classify_regime(stable)
 
-    unstable = O.gd_run(cost, theta0, O.OptimizerConfig(
-        eta=ETA_UNSTABLE, max_iter=6000, metric_cadence=5, stop_accuracy=0.95),
-        record_iterates=True)
+    spec, cost, theta0 = _preset_run("mlp-gd-unstable")
+    eta = spec.etas[0]
+    unstable = O.gd_run(cost, theta0, spec.optimizer_config(eta), spec.flags,
+                        record_iterates=True)
     call_u = O.classify_regime(unstable)
     losses = [s.loss for s in unstable.samples]
 
@@ -211,12 +197,11 @@ def regime_signatures():
     result = _result("regime-signatures", measured,
                      "stable: >=90% rp below -0.5; unstable: >=50% rp near 0 with net loss drop",
                      ok)
-    return result, (cost, unstable)
+    return result, (cost, unstable, eta)
 
 
-def segment_sharpness_bound(cost, unstable: O.Trajectory) -> CriterionResult:
+def segment_sharpness_bound(cost, unstable: O.Trajectory, eta: float) -> CriterionResult:
     """(2/eta)(rp+1) <= max sharpness along the step segment, up to 1% of 2/eta."""
-    eta = ETA_UNSTABLE
     tol = 0.01 * (2 / eta)
     iterates = unstable.iterates
     idx = list(range(15, len(iterates) - 1, 15))
@@ -242,12 +227,10 @@ def segment_sharpness_bound(cost, unstable: O.Trajectory) -> CriterionResult:
 
 
 def homogeneous_block_gradient() -> CriterionResult:
-    """Scale-invariant first layer: data-fit gradient orthogonal to the block,
+    """norm-layer-decay: data-fit gradient orthogonal to the scale-invariant block,
     and with weight decay the block gradient never drops below 2*gamma*||zeta||."""
-    ds = D.synth_dataset(D.SynthSpec(n=256, d=8, classes=4, cluster_spread=0.9, seed=11))
-    net = NN.MLPCost(ds, hidden_sizes=(16, 16), activation="relu", normalize_first=True)
-    gamma = 0.01
-    wrapped = C.WeightDecayWrapped(net, gamma)
+    _, wrapped, _ = _preset_run("norm-layer-decay")
+    net, gamma = wrapped.inner, wrapped.gamma
     zeta_idx = net.homogeneous_indices
     worst_ratio = 0.0
     decay_ok = True
@@ -268,21 +251,21 @@ def homogeneous_block_gradient() -> CriterionResult:
 
 
 def sgd_expected_rp() -> CriterionResult:
-    """Stochastic rp: minibatch LHS/RHS agree on the relu net; closed form holds
-    on the noise-injected isotropic quadratic."""
-    ds = D.synth_dataset(BLOBS)
-    net = NN.MLPCost(ds, hidden_sizes=MLP_HIDDEN, activation="relu")
-    theta0 = net.init_params(MLP_INIT_SEED)
+    """Stochastic rp: minibatch LHS/RHS agree along sgd-check-relu's runs; closed
+    form holds on the noise-injected isotropic quadratic."""
+    spec, net, theta0 = _preset_run("sgd-check-relu")
     worst_gap = 0.0
     checkpoints = 0
-    for eta in (2 / 50, 2 / 100):
-        traj = O.sgd_run(net, theta0, O.OptimizerConfig(
-            eta=eta, max_iter=12, batch_size=32, seed=5),
-            O.MetricFlags(rp=True, dir=False), record_checkpoints=True)
+    # the first two step sizes only: each costs about a second, and at the third
+    # (2/150) the worst gap, 0.046, is no wider than at the second
+    for eta in spec.etas[:2]:
+        config = spec.optimizer_config(eta)
+        traj = O.sgd_run(net, theta0, config, O.MetricFlags(rp=True, dir=False),
+                         record_checkpoints=True)
         for k, theta in enumerate(traj.iterates):
             # matching seeds pair the two estimators on identical batch draws
-            lhs, _ = M.expected_rp(net, theta, eta, 32, 160, seed=1000 + k)
-            rhs, _ = M.expected_rp_rhs(net, theta, eta, 32, 160, seed=1000 + k)
+            lhs, _ = M.expected_rp(net, theta, eta, config.batch_size, 160, seed=1000 + k)
+            rhs, _ = M.expected_rp_rhs(net, theta, eta, config.batch_size, 160, seed=1000 + k)
             worst_gap = max(worst_gap, abs(lhs - rhs))
             checkpoints += 1
 
@@ -328,10 +311,10 @@ def sharpness_estimator() -> CriterionResult:
 
 
 def escape_experiment_criterion() -> CriterionResult:
-    """All perturbed starts leave the sharp stationary point yet stay bounded."""
-    cost = C.TanhQuadratic(np.diag([40.0, 2.0]))
+    """flat-quad: all perturbed starts leave the sharp stationary point yet stay bounded."""
+    spec, cost, _ = _preset_run("flat-quad")
     origin_sharp = M.sharpness(cost, [0.0, 0.0], tol=1e-8)
-    res = O.escape_experiment(cost, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 39,
+    res = O.escape_experiment(cost, [0.0, 0.0], perturb_scale=1e-4, eta=spec.etas[0],
                               iters=600, trials=100, seed=3)
     ctl = O.escape_experiment(cost, [0.0, 0.0], perturb_scale=1e-4, eta=2 / 41,
                               iters=600, trials=100, seed=3)
@@ -359,8 +342,8 @@ def check_all(corrupt_quadrature: bool = False) -> List[CriterionResult]:
     run(edge_oscillation)
     run(flattened_quadratic_bounded)
     run(single_neuron_dichotomy)
-    _, (cost, unstable) = run(regime_signatures)
-    run(segment_sharpness_bound, cost, unstable)
+    _, unstable_run = run(regime_signatures)
+    run(segment_sharpness_bound, *unstable_run)
     run(homogeneous_block_gradient)
     run(sgd_expected_rp)
     run(sharpness_estimator)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -144,9 +145,9 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     for key, minimum in (("max_iter", 1), ("metric_cadence", 1), ("seed", 0), ("batch_size", 1)):
         if key in opt:
             opt_kwargs[key] = parse_int(opt.pop(key), where=f"optimizer.{key}", minimum=minimum)
-    for key in ("stop_accuracy", "blowup_threshold"):
-        if key in opt:
-            opt_kwargs[key] = parse_number(opt.pop(key), where=f"optimizer.{key}")
+    if "stop_accuracy" in opt:
+        opt_kwargs["stop_accuracy"] = parse_number(opt.pop("stop_accuracy"),
+                                                   where="optimizer.stop_accuracy")
     if opt:
         raise ConfigError(f"optimizer: unknown keys {sorted(opt)}")
     if algorithm == "sgd" and "batch_size" not in opt_kwargs:
@@ -233,7 +234,6 @@ def build_cost(spec: ExperimentSpec):
             hidden_sizes=hidden,
             activation=sec.pop("activation", "tanh").strip().lower(),
             normalize_first=_parse_bool(sec.pop("normalize_first", "false"), "cost.normalize_first"),
-            normalize_eps=parse_number(sec.pop("normalize_eps", "0"), where="cost.normalize_eps"),
         )
     else:
         raise ConfigError(f"cost.kind: unknown kind {kind!r}")
@@ -256,7 +256,8 @@ def build_cost(spec: ExperimentSpec):
 
 
 def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+    """A CSV field: undefined (None or NaN) is empty, never NaN text."""
+    return "" if x is None or math.isnan(x) else repr(float(x))
 
 
 def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,

@@ -2,10 +2,10 @@
 
 The network family is fixed: dense layers, one activation kind throughout
 (tanh / relu / linear), softmax cross-entropy on top, and an optional
-normalization layer a -> a / (eps + ||a||) inserted after the first hidden
-activation. With relu or linear activations and eps = 0 that normalization
-makes the first layer's parameters positively homogeneous, which is the
-hook the stationary-point diagnostics key on.
+normalization layer a -> a / ||a|| (a zero row stays zero) inserted after
+the first hidden activation. With relu or linear activations that
+normalization makes the first layer's parameters positively homogeneous,
+which is the hook the stationary-point diagnostics key on.
 
 Evaluation allocates nothing of size (rows x width) once warm. A cost keeps
 one full-batch workspace, an activation buffer and a backprop buffer per
@@ -74,17 +74,14 @@ class MLPCost(CostFunction):
     kind = "mlp"
 
     def __init__(self, dataset: Dataset, hidden_sizes, activation="tanh",
-                 normalize_first=False, normalize_eps=0.0):
+                 normalize_first=False):
         if activation not in _ACTIVATIONS:
             raise ContractViolation(f"unknown activation {activation!r}")
-        if not 0 <= normalize_eps < math.inf:
-            raise ContractViolation(f"normalize_eps must be finite and >= 0, got {normalize_eps}")
         if normalize_first and not hidden_sizes:
             raise ContractViolation("normalization layer needs at least one hidden layer")
         self.dataset = dataset
         self.activation = activation
         self.normalize_first = bool(normalize_first)
-        self.normalize_eps = float(normalize_eps)
         self.layer_sizes = [dataset.d, *map(int, hidden_sizes), dataset.num_classes]
         if any(s < 1 for s in self.layer_sizes):
             raise ContractViolation(f"invalid layer sizes {self.layer_sizes}")
@@ -99,7 +96,7 @@ class MLPCost(CostFunction):
                                  slice(pos + out * inp, pos + out * inp + out)))
             pos += out * inp + out
         self.dimension = pos
-        if normalize_first and activation in ("relu", "linear") and normalize_eps == 0.0:
+        if normalize_first and activation in ("relu", "linear"):
             self.homogeneous_indices = np.arange(self._layout[0][2].stop, dtype=np.intp)
 
         self._onehot = np.zeros((dataset.n, dataset.num_classes))
@@ -186,11 +183,8 @@ class MLPCost(CostFunction):
             if l == 0 and normed is not None:
                 np.multiply(z, z, out=normed)
                 r = np.sqrt(normed.sum(axis=1, keepdims=True))
-                s = self.normalize_eps + r
-                r_safe = np.where(r > 0.0, r, 1.0)
-                s_safe = np.where(s > 0.0, s, 1.0)
-                a = np.divide(z, s_safe, out=normed)
-                norm_state = (r_safe, s_safe)
+                norm_state = np.where(r > 0.0, r, 1.0)
+                a = np.divide(z, norm_state, out=normed)
         W, b = layers[-1]
         inputs.append(a)
         logits = np.empty((a.shape[0], W.shape[0]))
@@ -272,7 +266,7 @@ class MLPCost(CostFunction):
         activation itself.
         """
         ws = self._workspace(idx.size)
-        logits, inputs, norm_state = self._forward(layers, idx, ws, m)
+        logits, inputs, r_safe = self._forward(layers, idx, ws, m)
         loss, d_z = self._softmax_head(logits, idx, with_loss)
         d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]  # softmax minus one-hot
         d_z /= idx.size // m  # each block's mean over its own rows
@@ -289,13 +283,12 @@ class MLPCost(CostFunction):
             d_a = backs[l - 1]
             np.matmul(d_blocks, layers[l][0], out=_blocks(d_a, m))
             h = acts[l - 1]
-            if l == 1 and norm_state is not None:
+            if l == 1 and r_safe is not None:
                 # d_a is w.r.t. the normalized output, whose buffer is free now that
                 # layer 1's dW is taken
-                r_safe, s_safe = norm_state
                 inner = np.multiply(d_a, h, out=normed).sum(axis=1, keepdims=True)
-                d_a /= s_safe
-                d_a -= np.multiply(h, inner / (r_safe * s_safe**2), out=normed)
+                d_a /= r_safe
+                d_a -= np.multiply(h, inner / (r_safe * r_safe**2), out=normed)
             if self.activation == "tanh":
                 np.multiply(h, h, out=h)
                 d_a *= np.subtract(1.0, h, out=h)
@@ -340,11 +333,11 @@ class MLPCost(CostFunction):
             h = acts[l - 1]
             if l == 1 and cs.norm_state is not None:
                 # g w.r.t. the normalized output, then through the normalization's Jacobian
-                r_safe, s_safe = cs.norm_state
+                r_safe = cs.norm_state
                 g_norm = np.matmul(cs.deltas[1], layers[1][0], out=cs.g_norm)
                 cs.hg = np.multiply(h, g_norm, out=scratch[0]).sum(axis=1, keepdims=True)
-                g = np.divide(g_norm, s_safe, out=deltas[0])
-                g -= np.multiply(h, cs.hg / (r_safe * s_safe**2), out=scratch[0])
+                g = np.divide(g_norm, r_safe, out=deltas[0])
+                g -= np.multiply(h, cs.hg / (r_safe * r_safe**2), out=scratch[0])
             else:
                 g = np.matmul(cs.deltas[l], layers[l][0], out=deltas[l - 1])
             if self.activation == "tanh":
@@ -370,7 +363,7 @@ class MLPCost(CostFunction):
         layers, dirs = cs.layers, self.unpack(v)
         acts, backs, normed = self._workspace(self.dataset.n)
         inputs, deltas = cs.inputs, cs.deltas
-        h, last = cs.ws[0], len(layers) - 1
+        h, last, r_safe = cs.ws[0], len(layers) - 1, cs.norm_state
         r_in = [None]  # R(input) of each layer; the data's is zero
         for l in range(last):
             V, c = dirs[l]
@@ -380,11 +373,10 @@ class MLPCost(CostFunction):
             rz += c
             if cs.slopes is not None:
                 rz *= cs.slopes[l]
-            if l == 0 and cs.norm_state is not None:
-                r_safe, s_safe = cs.norm_state
+            if l == 0 and r_safe is not None:
                 h_rh = np.multiply(h[0], rz, out=backs[0]).sum(axis=1, keepdims=True)
-                r_in.append(np.divide(rz, s_safe, out=normed))
-                r_in[1] -= np.multiply(h[0], h_rh / (r_safe * s_safe**2), out=backs[0])
+                r_in.append(np.divide(rz, r_safe, out=normed))
+                r_in[1] -= np.multiply(h[0], h_rh / (r_safe * r_safe**2), out=backs[0])
             else:
                 r_in.append(rz)
         V, c = dirs[last]
@@ -407,19 +399,18 @@ class MLPCost(CostFunction):
             dW += np.matmul(deltas[l].T, r_in[l], out=cs.dW_scratch[l])
             rh = acts[l - 1]  # R(h) of the layer below, free once R(dW) is taken
             rg = np.matmul(r_d, layers[l][0], out=backs[l - 1])
-            if l == 1 and cs.norm_state is not None:
+            if l == 1 and r_safe is not None:
                 # R(g) w.r.t. the normalized output, then J R(g) + R(J) g through the Jacobian
                 rg += np.matmul(deltas[1], dirs[1][0], out=normed)
-                r_safe, s_safe = cs.norm_state
                 rho = h_rh / r_safe
-                rs2 = r_safe * s_safe**2
+                rs2 = r_safe * r_safe**2
                 h_rg = np.multiply(h[0], rg, out=normed).sum(axis=1, keepdims=True)
                 rh_g = np.multiply(rh, cs.g_norm, out=normed).sum(axis=1, keepdims=True)
-                coef = cs.hg * rho * (s_safe + 2.0 * r_safe) / (r_safe * s_safe)
+                coef = cs.hg * rho * (3.0 * r_safe) / (r_safe * r_safe)
                 coef -= h_rg + rh_g
                 coef /= rs2
-                rg /= s_safe
-                rg -= np.multiply(cs.g_norm, rho / s_safe**2, out=normed)
+                rg /= r_safe
+                rg -= np.multiply(cs.g_norm, rho / r_safe**2, out=normed)
                 rg -= np.multiply(rh, cs.hg / rs2, out=normed)
                 rg += np.multiply(h[0], coef, out=normed)
                 if cs.slopes is not None:
@@ -465,7 +456,7 @@ class _Curvature:
     g sigma''/sigma' = -2 h g for tanh (None otherwise), g being the signal at
     the activation's output. With the normalization layer, ``g_norm`` is the
     signal at its output, ``hg`` the row dot h.g_norm and ``norm_state``
-    (||h||, eps + ||h||) with zeros read as one. ``dW_scratch`` holds one
+    ||h|| per row, with zeros read as one. ``dW_scratch`` holds one
     weight-shaped product per layer; ``ones_rows`` and ``ones_classes`` turn
     column and row sums into matrix-vector products. Buffers are made once,
     on the first hvp.

@@ -1,10 +1,10 @@
 """Instrumented, deterministic GD and SGD loops.
 
-A trajectory halts with outcome ``diverged`` when the loss reaches the blowup
-threshold or any evaluation goes non-finite, ``converged`` when the stop rule
-fires (training accuracy for classifiers, otherwise the gradient falling
-below the near-stationary floor), and ``budget_exhausted`` otherwise. Given
-identical inputs, trajectories are bit-identical.
+A trajectory halts with outcome ``diverged`` when the loss reaches
+``BLOWUP_LOSS`` (1e12) or any evaluation goes non-finite, ``converged`` when
+the stop rule fires (training accuracy for classifiers, otherwise the
+gradient falling below the near-stationary floor), and ``budget_exhausted``
+otherwise. Given identical inputs, trajectories are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import numpy as np
 
 from . import metrics as M
 from .costs import CostFunction, as_params
-from .errors import ContractViolation, ZeroDirectionError
+from .errors import ContractViolation
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_DIVERGED = "diverged"
+BLOWUP_LOSS = 1e12  # a loss at or above it ends the run as diverged
 
 REGIME_STABLE = "stable"
 REGIME_UNSTABLE = "unstable"
@@ -41,7 +42,6 @@ class OptimizerConfig:
     max_iter: int = 1000
     metric_cadence: Optional[int] = None  # None: 1 below dimension 1000, else 5
     stop_accuracy: Optional[float] = None
-    blowup_threshold: float = 1e12
     seed: int = 0
     batch_size: Optional[int] = None  # None means full-batch GD
 
@@ -54,8 +54,6 @@ class OptimizerConfig:
             raise ContractViolation("metric_cadence must be >= 1")
         if self.stop_accuracy is not None and not (0.0 < self.stop_accuracy <= 1.0):
             raise ContractViolation("stop_accuracy must lie in (0, 1]")
-        if not self.blowup_threshold > 0:
-            raise ContractViolation(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -127,7 +125,7 @@ class Trajectory:
 
 def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     """The outcome a stop rule gives at this iterate, or None to keep stepping."""
-    if not (math.isfinite(loss) and math.isfinite(gnorm)) or loss >= config.blowup_threshold:
+    if not (math.isfinite(loss) and math.isfinite(gnorm)) or loss >= BLOWUP_LOSS:
         return OUTCOME_DIVERGED
     # near-stationary: ||g|| and a step's eta*||g||^2 both under a floor that grows with |loss|
     if max(gnorm, config.eta * gnorm * gnorm) <= M.grad_floor(loss) or (
@@ -146,9 +144,11 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
     """
     sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
-    step = eta * g if defined and (flags.rp or flags.dir or flags.identity) else None
-    if step is not None and flags.dir and not 0.0 < float(step @ step) < math.inf:
-        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
+    needs_step = flags.rp or flags.dir or flags.identity
+    if defined and (needs_step or flags.tau_sweep):
+        step = eta * g
+        # a step that overflows or underflows leaves every metric along it undefined
+        defined = 0.0 < float(step @ step) < math.inf
     rhs = None
     if defined and (flags.identity or flags.tau_sweep):  # one tau sweep serves both
         taus = (flags.grid or M.QuadratureGrid.default()).taus
@@ -160,7 +160,7 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
     if flags.sharpness and math.isfinite(loss):
         # the value only: the estimate's Ritz vector is not kept per sample
         sample.sharpness = float(M.sharpness(cost, theta))
-    owes = None if step is None else (step, rhs)
+    owes = (step, rhs) if defined and needs_step else None
     if owes is not None and look_ahead:
         _finish_step(sample, owes, g, *cost.value_and_gradient(theta - step), eta, flags)
         owes = None
@@ -169,19 +169,16 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
 
 def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
     """rp, dir and the identity residual along step = eta*g, from the loss and gradient
-    at theta - step."""
+    at theta - step; ``_sample_at`` owes only a step with 0 < step.step < inf."""
     step, rhs = owes
-    try:
-        if flags.rp or rhs is not None:
-            rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
-            if flags.rp:
-                sample.rp = rp
-            if rhs is not None:
-                sample.identity_residual = abs(rp - rhs)
-        if flags.dir:
-            sample.dir = float(step @ (g - next_g)) / float(step @ step)
-    except ZeroDivisionError as exc:
-        raise RuntimeError(f"metric evaluation failed at iteration {sample.iteration}") from exc
+    if flags.rp or rhs is not None:
+        rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
+        if flags.rp:
+            sample.rp = rp
+        if rhs is not None:
+            sample.identity_residual = abs(rp - rhs)
+    if flags.dir:
+        sample.dir = float(step @ (g - next_g)) / float(step @ step)
 
 
 def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
@@ -246,6 +243,8 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     batch = min(config.batch_size, n)
     theta = as_params(theta0, cost.dimension)
     rng = np.random.default_rng(np.uint64(config.seed))
+    # expected-rp seeds have a stream of their own, so recording them leaves the shuffles
+    erp_seeds = np.random.default_rng([config.seed, 1]) if flags.expected_rp else None
     samples: list = []
     checkpoints = [] if record_checkpoints else None
     outcome = OUTCOME_BUDGET
@@ -260,7 +259,7 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             if defined and flags.expected_rp:
                 (sample.rp, _), _ = M._paired_draw(cost, theta, config.eta, batch,
                                                    flags.expected_rp_batches,
-                                                   rng.integers(0, 2**63), lhs_only=True)
+                                                   erp_seeds.integers(0, 2**63), lhs_only=True)
         except Exception as exc:
             raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
         samples.append(sample)

@@ -6,9 +6,11 @@ lines the ``gdscope check`` command emits. Stated runtime budgets are asserted
 alongside the numerical bounds.
 """
 
+from collections import Counter
+
 import pytest
 
-from gdscope import acceptance
+from gdscope import acceptance, experiments
 
 RUNTIME_BUDGETS_S = {
     "quadratic-stability-boundary": 1.0,
@@ -16,26 +18,47 @@ RUNTIME_BUDGETS_S = {
     "edge-oscillation": 1.0,
     "flattened-quadratic-bounded": 1.0,
     "single-neuron-dichotomy": 1.0,
-    "regime-signatures": 20.0,  # shared budget with the segment bound below
-    "segment-sharpness-bound": 20.0,
+    "regime-signatures": 10.0,  # shared budget with the segment bound below
+    "segment-sharpness-bound": 10.0,
     "homogeneous-block-gradient": 2.0,
-    "sgd-expected-rp": 20.0,
+    "sgd-expected-rp": 10.0,
     "sharpness-estimator": 2.0,
     "escape-experiment": 5.0,
 }
 
 
+# the shipped presets check_all builds its runs from, and how often: quad-sweep
+# and flat-quad each feed two criteria
+PRESETS_LOADED = {"quad-sweep": 2, "flat-quad": 2, "single-neuron-linear": 1,
+                  "single-neuron-tanh": 1, "mlp-gd-stable": 1, "mlp-gd-unstable": 1,
+                  "norm-layer-decay": 1, "sgd-check-relu": 1}
+
+
 @pytest.fixture(scope="module")
-def results():
-    out = acceptance.check_all()
+def checked():
+    """check_all's results by name, and the preset names it loaded."""
+    loaded = []
+    load = experiments.load_preset
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(experiments, "load_preset", lambda name: loaded.append(name) or load(name))
+        out = acceptance.check_all()
     print()
     for r in out:
         print(f"{r.report_line()} runtime={r.runtime_s}s")
-    return {r.name: r for r in out}
+    return {r.name: r for r in out}, loaded
+
+
+@pytest.fixture(scope="module")
+def results(checked):
+    return checked[0]
 
 
 def test_all_criteria_present(results):
     assert set(results) == set(RUNTIME_BUDGETS_S)
+
+
+def test_criteria_run_the_shipped_presets(checked):
+    assert Counter(checked[1]) == PRESETS_LOADED
 
 
 @pytest.mark.parametrize("name", sorted(RUNTIME_BUDGETS_S))

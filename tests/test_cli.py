@@ -164,6 +164,10 @@ def test_preset_specs_all_parse():
         spec = X.load_preset(name)
         assert spec.name == name
         assert spec.etas
+        cost, theta0 = X.build_cost(spec)
+        assert theta0.shape == (cost.dimension,)
+        for eta in spec.etas:
+            assert spec.optimizer_config(eta).eta == eta
 
 
 def test_check_exit_codes(monkeypatch, capsys):
@@ -343,3 +347,43 @@ def test_weight_decayed_quadratic_keeps_the_gradient_floor_rule(tmp_path):
     summary = X.run_spec(spec, str(tmp_path))
     assert summary.outcome == "converged"
     assert 1 < summary.iterations < 800
+
+
+EXTREME_STEP_CFG = """\
+[experiment]
+name = extreme-step
+
+[cost]
+kind = quadratic
+p_diag = 1, 0
+
+[init]
+theta0 = 3, 1
+
+[optimizer]
+eta = {eta}
+max_iter = 5
+{metrics}"""
+
+
+@pytest.mark.parametrize("eta, metrics, outcome", [
+    pytest.param("1e308", "[metrics]\nrp = false\ndir = false\n", "diverged", id="overflow-quiet"),
+    pytest.param("1e308", "[metrics]\nrp = true\ndir = false\n", "diverged", id="overflow-rp"),
+    pytest.param("1e308", "", "diverged", id="overflow-default"),
+    pytest.param("1e308", "[metrics]\nrp = false\ndir = false\ntau_sweep = true\n", "diverged",
+                 id="overflow-tau-sweep"),
+    pytest.param("1e-320", "", "budget_exhausted", id="underflow-default"),
+])
+def test_a_step_that_overflows_or_underflows_leaves_its_metrics_undefined(
+        tmp_path, capsys, eta, metrics, outcome):
+    # eta * g overflows to inf, or eta*g.eta*g underflows to 0: rp, dir and the
+    # identity along that step are undefined, and the trace is still written whole
+    cfg = tmp_path / "extreme-step.cfg"
+    cfg.write_text(EXTREME_STEP_CFG.format(eta=eta, metrics=metrics))
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "extreme-step.csv").read_text()
+    assert "nan" not in text.lower()
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert rows[0][:3] == ["0", "4.5", "3.0"] and rows[0][3:5] == ["", ""]
+    summary = json.loads((tmp_path / "extreme-step.csv.summary.json").read_text())
+    assert summary["outcome"] == outcome

@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ theta0 = {theta0}
 eta = {eta}
 max_iter = 5
 stop_accuracy = {stop_accuracy}
-blowup_threshold = {blowup_threshold}
 """
 
 MLP = """\
@@ -40,7 +40,6 @@ name = bad-mlp
 kind = mlp
 hidden = {hidden}
 activation = {activation}
-normalize_eps = {normalize_eps}
 weight_decay = {weight_decay}
 
 [dataset]
@@ -55,8 +54,7 @@ max_iter = 2
 """
 
 GOOD = dict(p_diag="40, 2", q="", r="0", weight_decay="0", theta0="1, 1", eta="0.01",
-            stop_accuracy="1", blowup_threshold="1e12", hidden="4", activation="tanh",
-            normalize_eps="0", spread="0.9")
+            stop_accuracy="1", hidden="4", activation="tanh", spread="0.9")
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -82,8 +80,6 @@ MALFORMED = {
     "eta": (QUAD, (st.floats(max_value=0.0) | NON_FINITE).map(_num), "eta"),
     "stop_accuracy": (QUAD, (st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
                              | NON_FINITE).map(_num), "stop_accuracy"),
-    "blowup_threshold": (QUAD, (st.floats(max_value=0.0) | st.just(math.nan)).map(_num),
-                         "blowup_threshold"),
     "p_diag": (QUAD, _with_one_bad(NON_FINITE), "cost.p_diag"),
     "theta0": (QUAD, _with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4]), "init.theta0"),
     "q": (QUAD, (_with_one_bad(NON_FINITE) | _wrong_length([1, 3, 4])).map(lambda t: f"q = {t}"),
@@ -97,8 +93,6 @@ MALFORMED = {
     "activation": (MLP, st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
                    .filter(lambda a: a not in ("tanh", "relu", "linear")), "activation"),
     "spread": (MLP, (st.floats(max_value=0.0) | NON_FINITE).map(_num), "cluster_spread"),
-    "normalize_eps": (MLP, (st.floats(max_value=0.0, exclude_max=True) | NON_FINITE).map(_num),
-                      "normalize_eps"),
 }
 
 
@@ -127,3 +121,15 @@ def test_malformed_field_exits_2(case):
 def test_well_formed_templates_run():
     for template in (QUAD, MLP):
         assert _exit_code(template, "eta", GOOD["eta"])[0] == 0
+
+
+@pytest.mark.parametrize("template, section, key, value", [
+    pytest.param(QUAD, "optimizer", "blowup_threshold", "1e12", id="blowup_threshold"),
+    pytest.param(MLP, "cost", "normalize_eps", "0", id="normalize_eps")])
+def test_removed_keys_exit_2_as_unknown(template, section, key, value):
+    # neither setting exists any more: a config that sets one, even to its old
+    # default, is refused rather than ignored
+    template = template.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    code, err = _exit_code(template, "eta", GOOD["eta"])
+    assert code == 2, err
+    assert f"{section}: unknown keys" in err and key in err, err

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gdscope import acceptance, metrics
+from gdscope import metrics
 from gdscope import (
     ContractViolation,
     CostFunction,
@@ -31,6 +32,7 @@ from gdscope import (
     synth_dataset,
     verify_identity,
 )
+from gdscope.experiments import build_cost, load_preset
 
 from test_mlp import NETS
 
@@ -457,12 +459,13 @@ def test_segment_max_survives_crossing_top_eigenvalues(a):
 
 @pytest.fixture(scope="module")
 def acceptance_unstable_run():
-    """Iterates 0..90 of the acceptance classifier's eta = 1 run."""
-    cost = acceptance._classifier()
-    traj = gd_run(cost, cost.init_params(acceptance.MLP_INIT_SEED), OptimizerConfig(
-        eta=acceptance.ETA_UNSTABLE, max_iter=90, metric_cadence=5, stop_accuracy=0.95),
-        MetricFlags(rp=False, dir=False), record_iterates=True)
-    return cost, traj.iterates
+    """eta and iterates 0..90 of the mlp-gd-unstable preset's run (eta = 1)."""
+    spec = load_preset("mlp-gd-unstable")
+    cost, theta0 = build_cost(spec)
+    eta = spec.etas[0]
+    traj = gd_run(cost, theta0, replace(spec.optimizer_config(eta), max_iter=90),
+                  MetricFlags(rp=False, dir=False), record_iterates=True)
+    return cost, eta, traj.iterates
 
 
 def _segment_estimates(monkeypatch, cost, theta, eta, **kwargs):
@@ -482,8 +485,8 @@ def _segment_estimates(monkeypatch, cost, theta, eta, **kwargs):
 @pytest.mark.parametrize("i", [15, 45, 90])
 def test_warm_segment_makes_fewer_hvps_than_cold_points(acceptance_unstable_run,
                                                         monkeypatch, i):
-    cost, iterates = acceptance_unstable_run
-    theta, eta, tol, max_iter = iterates[i], acceptance.ETA_UNSTABLE, 1e-4, 30_000
+    cost, eta, iterates = acceptance_unstable_run
+    theta, tol, max_iter = iterates[i], 1e-4, 30_000
     counter = CountingHvp(cost)
     monkeypatch.setattr(cost, "hvp", counter)
     seg, made = _segment_estimates(monkeypatch, cost, theta, eta, samples=11, tol=tol,
@@ -503,11 +506,10 @@ def test_warm_segment_makes_fewer_hvps_than_cold_points(acceptance_unstable_run,
 
 
 def test_segment_first_point_is_the_cold_estimate_on_relu(monkeypatch):
-    # relu nets get the finite-difference surrogate hvp
-    net = MLPCost(synth_dataset(acceptance.BLOBS), hidden_sizes=acceptance.MLP_HIDDEN,
-                  activation="relu")
-    traj = gd_run(net, net.init_params(acceptance.MLP_INIT_SEED),
-                  OptimizerConfig(eta=0.5, max_iter=30), MetricFlags(rp=False, dir=False))
+    # on a relu net, whose exact hvp holds the activation pattern at theta fixed
+    net, theta0 = build_cost(load_preset("mlp-relu-gd"))
+    traj = gd_run(net, theta0, OptimizerConfig(eta=0.5, max_iter=30),
+                  MetricFlags(rp=False, dir=False))
     theta = traj.final_theta
     seg, made = _segment_estimates(monkeypatch, net, theta, 0.5, samples=11, tol=1e-4,
                                    max_iter=30_000, seed=2)
@@ -682,7 +684,7 @@ def test_expected_rp_views_match_the_scalar_loops(kind):
         assert expected_rp(*args, grad_sampler=sampler) == lhs
 
 
-@pytest.mark.parametrize("kw", NETS, ids=lambda kw: "-".join(map(str, kw.values())))
+@pytest.mark.parametrize("kw", NETS)
 def test_expected_rp_views_match_the_scalar_loops_on_every_net(kw):
     # the stacked draw (chunks of 4 batches of 16 rows here) against per-row stochastic_gradient
     ds = synth_dataset(SynthSpec(n=64, d=4, classes=3, cluster_spread=0.6, seed=6))

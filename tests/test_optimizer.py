@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdscope import optimizer
 from gdscope import (
     ContractViolation,
     MLPCost,
@@ -44,13 +45,24 @@ def test_gd_stability_boundary_outcomes():
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))  # ||theta|| shrinks
 
 
-def test_gd_gradient_floor_does_not_stop_a_diverging_run():
+def test_gd_gradient_floor_does_not_stop_a_diverging_run(monkeypatch):
     # at loss ~8.5e25 the floor 1e-12*(1+loss) overtakes ||g||, but a step still moves far
+    monkeypatch.setattr(optimizer, "BLOWUP_LOSS", 1e30)
     q = Quadratic(np.diag([40.0, 2.0]))
-    traj = gd_run(q, [1.0, 1.0], OptimizerConfig(eta=2 / 39, max_iter=3000,
-                                                 blowup_threshold=1e30), QUIET)
+    traj = gd_run(q, [1.0, 1.0], OptimizerConfig(eta=2 / 39, max_iter=3000), QUIET)
     assert traj.outcome == "diverged"
     assert traj.final_loss >= 1e30
+
+
+@pytest.mark.parametrize("eta", [1e308, 1e-320], ids=["overflow", "underflow"])
+def test_a_step_that_overflows_or_underflows_leaves_rp_dir_and_identity_undefined(eta):
+    # eta*g overflows to inf, or eta*g . eta*g underflows to 0: undefined, not NaN or an abort
+    q = Quadratic(np.diag([1.0, 0.0]))
+    traj = gd_run(q, [3.0, 1.0], OptimizerConfig(eta=eta, max_iter=5),
+                  MetricFlags(identity=True, tau_sweep=True))
+    first = traj.samples[0]
+    assert first.loss == 4.5 and first.grad_norm == 3.0
+    assert (first.rp, first.dir, first.identity_residual, first.tau_dir_mean) == (None,) * 4
 
 
 def test_gd_flattened_quadratic_never_diverges():
@@ -131,6 +143,19 @@ def test_sgd_seeded_determinism():
     b = sgd_run(net, theta0, cfg)
     assert np.array_equal(a.final_theta, b.final_theta)
     assert [s.loss for s in a.samples] == [s.loss for s in b.samples]
+
+
+def test_sgd_expected_rp_leaves_the_trajectory_as_it_is():
+    # the estimate's Monte Carlo seeds have a stream of their own: the shuffles,
+    # and so every iterate, are those of the same run without it
+    ds = synth_dataset(SynthSpec(n=48, d=4, classes=3, cluster_spread=0.6, seed=1))
+    net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
+    cfg = OptimizerConfig(eta=0.05, max_iter=4, batch_size=8, seed=77)
+    off, on = (sgd_run(net, net.init_params(0), cfg, MetricFlags(
+        dir=False, expected_rp=erp, expected_rp_batches=8)) for erp in (False, True))
+    assert np.array_equal(off.final_theta, on.final_theta)
+    assert [s.loss for s in off.samples] == [s.loss for s in on.samples]
+    assert [s.rp for s in off.samples] != [s.rp for s in on.samples]  # it did estimate
 
 
 def test_sgd_requires_batch_and_dataset():

@@ -162,31 +162,31 @@ def test_orthogonality_requires_nonzero_zeta(norm_layer_net):
         homogeneity_orthogonality(norm_layer_net, theta)
 
 
-def _eps_scaled_relu_net(eps):
-    """A normalized relu net with first-layer activations put at the eps scale."""
+def _shrunk_block_relu_net(scale):
+    """A normalized relu net with its scale-invariant first layer scaled by ``scale``."""
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    net = MLPCost(ds, hidden_sizes=(6, 4), activation="relu",
-                  normalize_first=True, normalize_eps=eps)
+    net = MLPCost(ds, hidden_sizes=(6, 4), activation="relu", normalize_first=True)
     theta = net.init_params(3)
-    theta[: 6 * 4 + 6] *= eps
+    theta[net.homogeneous_indices] *= scale
     return net, theta
 
 
-def test_eps_regularized_normalization_sharpens_as_eps_shrinks():
-    # near ||a|| ~ eps the curvature blows up like 1/eps; no constant is pinned,
-    # only the qualitative growth
+def test_normalized_block_sharpens_as_it_shrinks():
+    # f(c*zeta) = f(zeta) for the scale-invariant block zeta, so its Hessian
+    # block grows like 1/c^2 as c shrinks; no constant is pinned, only the growth
     measured = []
-    for eps in (1e-1, 1e-2):
-        net, theta = _eps_scaled_relu_net(eps)
+    for scale in (1e-1, 1e-2):
+        net, theta = _shrunk_block_relu_net(scale)
         measured.append(sharpness(net, theta, tol=1e-5, max_iter=50_000))
     assert measured[1] > 10 * measured[0]
 
 
 def test_relu_sharpness_matches_dense_central_difference_hessian():
     # pre-activations here are small enough that a finite-difference hvp with a
-    # cbrt(eps)-scaled step straddles relu kinks and reads 1281; the dense
-    # reference, and the exact hvp, read about 140
-    net, theta = _eps_scaled_relu_net(1e-2)
+    # cbrt(eps)-scaled step straddles relu kinks: Lanczos over it certifies
+    # nothing, and its dense matrix's top eigenvalue reads about 37400; the dense
+    # reference, and the exact hvp, read about 3426
+    net, theta = _shrunk_block_relu_net(1e-2)
     h = 1e-7
     H = np.empty((net.dimension, net.dimension))
     for j in range(net.dimension):
