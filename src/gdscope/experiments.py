@@ -303,7 +303,11 @@ class RunSummary:
     csv_path: str
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        """The summary as JSON. JSON has no Infinity or NaN, so a non-finite float
+        (the final loss of a diverged run) is written as null."""
+        fields = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in self.__dict__.items()}
+        return json.dumps(fields, sort_keys=True, allow_nan=False)
 
 
 def _outcome_label(traj: O.Trajectory) -> str:

@@ -18,19 +18,35 @@ that is returned, so returned arrays never alias the workspace. Because the
 workspace is shared state, one cost instance must not be evaluated from
 several threads at once; give each thread its own cost.
 
-One backward pass serves every gradient. It runs over m equal blocks of
-rows, each block one batch: ``gradient``, ``value_and_gradient`` and
-``stochastic_gradient`` are the case m = 1, and ``stochastic_gradients``
-feeds a (k, b) batch stack through it in chunks of n // b batches, so a
-chunk fits in the full-batch workspace. Every matmul runs as a broadcast
-matmul over (m, b, .) views, which keeps each batch's own b-row GEMM: the
-rows of a stack round exactly like separate ``stochastic_gradient`` calls.
-Everything else in the pass is elementwise or row by row.
+One forward and one backward pass serve every evaluation. The backward
+pass runs over m equal blocks of rows, each block one batch: ``gradient``,
+``value_and_gradient`` and ``stochastic_gradient`` are the case m = 1, and
+``stochastic_gradients`` feeds a (k, b) batch stack through it in chunks of
+n // b batches, so a chunk fits in the full-batch workspace. Every matmul
+runs as a broadcast matmul over one view per batch, which keeps each batch's
+own b-row GEMM: the rows of a stack round exactly like separate
+``stochastic_gradient`` calls. Everything else in the pass is elementwise or
+example by example.
 
-``value`` and the backward pass share one softmax head: the row max of the
-logits, exp(logits - max) and the row sum are computed once and serve both
-the log-sum-exp loss and the softmax, so ``value_and_gradient`` costs about
-one ``gradient``.
+The logits are held class-major, (classes, rows), and the backward pass
+carries each layer's signal delta transposed, so the head's per-example work
+runs along rows of all examples rather than across a few classes. Reductions
+are BLAS vector products, taken batch by batch like the matmuls: each bias
+gradient is delta^T ones_b, each example's sum over classes ones @ e, and
+the loss the per-example losses dotted with ones, over n. The first layer's
+bias rides in its GEMM: the features carry a ones column, appended once, and
+each pass copies [W1 | b1] out of theta, whose layout (W1, b1, W2, b2, ...)
+is unchanged, so z1 = [x, 1] [W1 | b1]^T and [dW1 | db1] = delta1^T [x, 1]
+are one GEMM each. The R-pass folds its direction's first layer the same way.
+
+``value`` and the backward pass share one softmax head: each example's max
+logit, exp(logits - max) and the sum s over classes are computed once and
+serve both the log-sum-exp loss and the softmax, so ``value_and_gradient``
+costs about one ``gradient``. A batch's mean over its b rows rides in the
+head: it divides by s*b, and the pass subtracts a one-hot already divided by
+b (the full batch's is made once). A full-batch evaluation keeps a copy of
+its logits and theta, so ``accuracy`` at an equal theta, such as the stop
+rule's right after a step's evaluation, runs no forward pass.
 
 ``hvp`` is exact: Pearlmutter's R-operator, a forward-over-reverse pass
 (Pearlmutter 1994, "Fast exact multiplication by the Hessian"). What it reads
@@ -62,6 +78,11 @@ _ACTIVATIONS = ("tanh", "relu", "linear")
 def _blocks(x, m):
     """The rows of x as m equal blocks: an (m, rows / m, cols) view, or x when m == 1."""
     return x if m == 1 else x.reshape(m, -1, x.shape[-1])
+
+
+def _cols(x, m):
+    """The columns of x as m equal blocks: an (m, rows, cols / m) view, or x when m == 1."""
+    return x if m == 1 else x.reshape(x.shape[0], m, -1).swapaxes(0, 1)
 
 
 class MLPCost(CostFunction):
@@ -96,14 +117,25 @@ class MLPCost(CostFunction):
                                  slice(pos + out * inp, pos + out * inp + out)))
             pos += out * inp + out
         self.dimension = pos
+        # where [W1 | b1], the first layer with its bias as a last column, sits in theta
+        out, inp = self._shapes[0]
+        self._first = np.c_[np.arange(out * inp).reshape(out, inp), np.arange(out) + out * inp]
         if normalize_first and activation in ("relu", "linear"):
             self.homogeneous_indices = np.arange(self._layout[0][2].stop, dtype=np.intp)
 
-        self._onehot = np.zeros((dataset.n, dataset.num_classes))
-        self._onehot[np.arange(dataset.n), dataset.labels] = 1.0
-        self._all_rows = np.arange(dataset.n)
+        n = dataset.n
+        # a ones column, so the first layer's bias rides in its GEMM
+        self._features1 = np.hstack([dataset.features, np.ones((n, 1))])
+        # class-major (classes, n), like the logits
+        self._onehot = np.zeros((dataset.num_classes, n))
+        self._onehot[dataset.labels, np.arange(n)] = 1.0
+        self._onehot_n = self._onehot / n  # the full batch's one-hot over its row count
+        self._all_rows = np.arange(n)
+        self._picked = dataset.labels * n + self._all_rows  # flat index of each row's label logit
+        self._ones, self._ones_classes = np.ones(n), np.ones(dataset.num_classes)
         self._workspaces = {}  # row count -> _workspace buffers or views
         self._curv = None  # _Curvature at the last theta an hvp saw
+        self._kept = None  # (theta, logits) of the last full-batch evaluation
 
     # --- parameter packing -------------------------------------------------
 
@@ -115,6 +147,13 @@ class MLPCost(CostFunction):
         and b (..., out), with ``flat``'s leading axes in front."""
         lead = flat.shape[:-1]
         return [(flat[..., w].reshape(lead + shape), flat[..., b]) for w, shape, b in self._layout]
+
+    def _layers(self, flat):
+        """The layers of the vector ``flat`` as the passes read them: the first as
+        ([W | b], None), an (out, in + 1) copy that multiplies the ones-augmented
+        features, and every later one as its (W, b) views."""
+        return [(flat[self._first], None),
+                *((flat[w].reshape(shape), flat[b]) for w, shape, b in self._layout[1:])]
 
     def init_params(self, seed) -> np.ndarray:
         """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
@@ -158,15 +197,16 @@ class MLPCost(CostFunction):
         return ws
 
     def _forward(self, layers, idx, ws=None, m=1):
-        """(logits, the input to each layer, normalization state) for the rows idx,
-        taken as m equal blocks whose matmuls run block by block.
+        """(class-major logits, the input to each layer, normalization state) for the
+        rows idx, taken as m equal blocks whose matmuls run block by block.
 
-        Hidden activations are computed in place in ``ws`` (by default the
-        workspace); with the normalization layer, the first hidden layer's
-        buffer keeps the activation before normalization and the normalized
-        copy feeds layer 1.
+        ``layers`` come from ``_layers``, so the first layer's input is the rows of
+        the ones-augmented features. Hidden activations are computed in place in
+        ``ws`` (by default the workspace); with the normalization layer, the
+        first hidden layer's buffer keeps the activation before normalization
+        and the normalized copy feeds layer 1.
         """
-        a = self.dataset.features if idx is self._all_rows else self.dataset.features[idx]
+        a = self._features1 if idx is self._all_rows else self._features1[idx]
         acts, _, normed = ws or self._workspace(a.shape[0])
         inputs = []
         norm_state = None
@@ -174,7 +214,8 @@ class MLPCost(CostFunction):
             inputs.append(a)
             z = acts[l]
             np.matmul(_blocks(a, m), W.T, out=_blocks(z, m))
-            z += b
+            if b is not None:
+                z += b
             if self.activation == "tanh":
                 np.tanh(z, out=z)
             elif self.activation == "relu":
@@ -187,52 +228,70 @@ class MLPCost(CostFunction):
                 a = np.divide(z, norm_state, out=normed)
         W, b = layers[-1]
         inputs.append(a)
-        logits = np.empty((a.shape[0], W.shape[0]))
-        np.matmul(_blocks(a, m), W.T, out=_blocks(logits, m))
-        logits += b
+        logits = np.empty((W.shape[0], a.shape[0]))
+        np.matmul(W, _blocks(a, m).swapaxes(-1, -2), out=_cols(logits, m))
+        if b is not None:
+            logits += b[:, None]
         return logits, inputs, norm_state
 
-    def _softmax_head(self, logits, idx, with_loss):
-        """(mean cross-entropy over the rows idx, or None without with_loss; softmax).
+    def _softmax_head(self, logits, m=1, scale=1, with_loss=False):
+        """(mean cross-entropy over every row with ``with_loss``, else None; the logits).
 
-        One pass serves both: the row max m, e = exp(logits - m) and the row sum
-        s are computed once, the loss is the mean of m + log(s) - picked logit,
-        and the softmax e / s is written over ``logits``. The row max is taken
-        column by column with ``np.maximum``, which is exact and much faster than
-        ``max(axis=1)`` on a few class columns.
+        ``logits`` is class-major, (classes, rows). One pass serves both: each
+        example's max mx, e = exp(logits - mx) and the sum s over classes are
+        computed once, the loss is the mean of mx + log(s) - picked logit, and
+        e / (s * scale) is written over ``logits`` (nothing more with scale
+        None). The sum is a vector-matrix product per block of examples, so a
+        block's sums round as in a call over that block alone.
         """
-        m = logits[:, 0].copy()
-        for c in range(1, logits.shape[1]):
-            np.maximum(m, logits[:, c], out=m)
+        mx = np.maximum.reduce(logits, axis=0)
+        if with_loss:
+            picked = logits.take(self._picked)
+        logits -= mx
+        np.exp(logits, out=logits)
+        s = np.matmul(self._ones_classes, _cols(logits, m)).reshape(-1)
         loss = None
         if with_loss:
-            labels = self.dataset.labels if idx is self._all_rows else self.dataset.labels[idx]
-            picked = logits[np.arange(len(idx)), labels]
-        logits -= m[:, None]
-        np.exp(logits, out=logits)
-        s = logits.sum(axis=1)
-        if with_loss:
-            loss = _finite_or_inf(float(np.mean(m + np.log(s) - picked)))
-        logits /= s[:, None]
+            lse = np.log(s)
+            lse += mx
+            lse -= picked
+            loss = _finite_or_inf(float(lse @ self._ones) / self.dataset.n)
+        if scale is not None:
+            s *= scale
+            logits /= s
         return loss, logits
 
+    def _keep(self, theta, logits):
+        """Copy a full-batch forward's theta and logits, read by ``accuracy`` at an
+        equal theta."""
+        if self._kept is None:
+            self._kept = (np.empty(self.dimension), np.empty_like(logits))
+        np.copyto(self._kept[0], theta)
+        np.copyto(self._kept[1], logits)
+
     def value(self, theta) -> float:
-        logits, _, _ = self._forward(self.unpack(theta), self._all_rows)
-        return self._softmax_head(logits, self._all_rows, with_loss=True)[0]
+        theta = self.check(theta)
+        logits = self._forward(self._layers(theta), self._all_rows)[0]
+        self._keep(theta, logits)
+        return self._softmax_head(logits, scale=None, with_loss=True)[0]
 
     def gradient(self, theta) -> np.ndarray:
+        theta = self.check(theta)
         grad = np.empty(self.dimension)
-        self._backprop(self.unpack(theta), self._all_rows, grad)
+        self._backprop(self._layers(theta), self._all_rows, grad, theta=theta)
         return grad
 
     def value_and_gradient(self, theta):
+        theta = self.check(theta)
         grad = np.empty(self.dimension)
-        return self._backprop(self.unpack(theta), self._all_rows, grad, with_loss=True), grad
+        loss = self._backprop(self._layers(theta), self._all_rows, grad, with_loss=True,
+                              theta=theta)
+        return loss, grad
 
     def stochastic_gradient(self, theta, batch) -> np.ndarray:
         idx = as_batches(batch, self.dataset.n, ndim=1)
         grad = np.empty(self.dimension)
-        self._backprop(self.unpack(theta), idx, grad)
+        self._backprop(self._layers(self.check(theta)), idx, grad)
         return grad
 
     def stochastic_gradients(self, theta, batches) -> np.ndarray:
@@ -244,7 +303,7 @@ class MLPCost(CostFunction):
         union of its rows, with its gradients written straight into their rows.
         """
         batches = as_batches(batches, self.dataset.n)
-        layers = self.unpack(theta)
+        layers = self._layers(self.check(theta))
         k, b = batches.shape
         chunk = max(1, self.dataset.n // b)
         grads = np.empty((k, self.dimension))
@@ -254,34 +313,47 @@ class MLPCost(CostFunction):
             self._backprop(layers, batches[j : j + m].ravel(), rows, m)
         return grads
 
-    def _backprop(self, layers, idx, grad, m=1, with_loss=False):
+    def _backprop(self, layers, idx, grad, m=1, with_loss=False, theta=None):
         """Fill ``grad`` with the gradient over each of the m equal blocks of the rows
         idx: a (dim,) vector when m == 1, else (m, dim) rows. Returns the mean loss
-        over idx with ``with_loss``, else None.
+        with ``with_loss`` (a full-batch pass), else None. A full-batch pass given
+        its ``theta`` keeps its logits for ``accuracy``.
 
-        One forward and one backward pass. Each layer's weight and bias gradients
-        are written straight into their slices of ``grad``, block by block. Once a
-        layer's weight gradient is taken, the activation stored for it is
-        overwritten by the activation's derivative, which is computed from the
-        activation itself.
+        One forward and one backward pass. The signal at the logits is
+        e / (s b) - onehot / b, each block's mean folded into the head. Every
+        later layer's weight gradient delta^T a and bias gradient delta^T ones_b
+        are written straight into their slices of ``grad``, block by block; the
+        first layer's [dW | db] is one GEMM against the augmented features,
+        scattered into its slices. Once a layer's weight gradient is taken, the
+        activation stored for it is overwritten by the activation's derivative,
+        which is computed from the activation itself.
         """
-        ws = self._workspace(idx.size)
+        rows = idx.size
+        b = rows // m
+        ws = self._workspace(rows)
         logits, inputs, r_safe = self._forward(layers, idx, ws, m)
-        loss, d_z = self._softmax_head(logits, idx, with_loss)
-        d_z -= self._onehot if idx is self._all_rows else self._onehot[idx]  # softmax minus one-hot
-        d_z /= idx.size // m  # each block's mean over its own rows
+        if theta is not None:
+            self._keep(theta, logits)
+        loss, d_t = self._softmax_head(logits, m, b, with_loss)
+        # the signal at a layer's output is carried transposed, as (m, out, b) blocks
+        if idx is self._all_rows:
+            d_t -= self._onehot_n
+        else:
+            onehot = self._onehot[:, idx]
+            onehot /= b
+            # each batch's block contiguous, as in a call over that batch alone
+            out = np.empty((m, d_t.shape[0], b)) if m > 1 else d_t
+            d_t = np.subtract(_cols(d_t, m), _cols(onehot, m), out=out)
+        ones_b = self._ones[:b] if b <= self.dataset.n else np.ones(b)
 
         acts, backs, normed = ws
         grads = self._layer_views(grad)
-        for l in range(len(layers) - 1, -1, -1):
+        for l in range(len(layers) - 1, 0, -1):
             dW, db = grads[l]
-            d_blocks = _blocks(d_z, m)
-            np.matmul(d_blocks.swapaxes(-1, -2), _blocks(inputs[l], m), out=dW)
-            d_blocks.sum(axis=-2, out=db)
-            if l == 0:
-                break
+            np.matmul(d_t, _blocks(inputs[l], m), out=dW)
+            np.matmul(d_t, ones_b, out=db)
             d_a = backs[l - 1]
-            np.matmul(d_blocks, layers[l][0], out=_blocks(d_a, m))
+            np.matmul(d_t.swapaxes(-1, -2), layers[l][0], out=_blocks(d_a, m))
             h = acts[l - 1]
             if l == 1 and r_safe is not None:
                 # d_a is w.r.t. the normalized output, whose buffer is free now that
@@ -295,7 +367,8 @@ class MLPCost(CostFunction):
             elif self.activation == "relu":
                 # subgradient convention: derivative 0 at the kink
                 d_a *= np.greater(h, 0.0, out=h)
-            d_z = d_a
+            d_t = _blocks(d_a, m).swapaxes(-1, -2)
+        grad[..., self._first] = np.matmul(d_t, _blocks(inputs[0], m))
         return loss
 
     def hvp(self, theta, v) -> np.ndarray:
@@ -321,13 +394,13 @@ class MLPCost(CostFunction):
             cs = self._curv = _Curvature(self)
         cs.complete = False
         np.copyto(cs.theta, theta)
-        layers = cs.layers
+        cs.layers = layers = self._layers(cs.theta)
         logits, cs.inputs, cs.norm_state = self._forward(layers, self._all_rows, cs.ws)
-        _, cs.probs = self._softmax_head(logits, self._all_rows, with_loss=False)
+        _, cs.probs = self._softmax_head(logits)
         top = cs.probs - self._onehot
         top /= self.dataset.n
         acts, deltas, _ = cs.ws
-        cs.deltas = [*deltas, top]
+        cs.deltas = [*deltas, top.T]
         scratch = self._workspace(self.dataset.n)[1]
         for l in range(len(layers) - 1, 0, -1):
             h = acts[l - 1]
@@ -359,8 +432,10 @@ class MLPCost(CostFunction):
         R(softmax) = p (R(z) - <p, R(z)>). Backward: R(dW) = R(delta)^T a +
         delta^T R(a), R(db) = sum R(delta), and
         R(delta) = sigma' R(g) + (g sigma''/sigma') R(h) with R(g) = R(delta') W + delta' V.
+        The first layer's V and c ride in one GEMM against the augmented
+        features, as in the forward and backward passes.
         """
-        layers, dirs = cs.layers, self.unpack(v)
+        layers, dirs = cs.layers, self._layers(v)
         acts, backs, normed = self._workspace(self.dataset.n)
         inputs, deltas = cs.inputs, cs.deltas
         h, last, r_safe = cs.ws[0], len(layers) - 1, cs.norm_state
@@ -370,7 +445,7 @@ class MLPCost(CostFunction):
             rz = np.matmul(inputs[l], V.T, out=acts[l])
             if l > 0:
                 rz += np.matmul(r_in[l], layers[l][0].T, out=backs[l])
-            rz += c
+                rz += c
             if cs.slopes is not None:
                 rz *= cs.slopes[l]
             if l == 0 and r_safe is not None:
@@ -380,25 +455,23 @@ class MLPCost(CostFunction):
             else:
                 r_in.append(rz)
         V, c = dirs[last]
-        r_d = inputs[last] @ V.T
+        r_t = V @ inputs[last].T  # R(delta) at the logits, class-major like the probabilities
         if last > 0:
-            r_d += r_in[last] @ layers[last][0].T
-        r_d += c
-        r_d -= ((cs.probs * r_d) @ cs.ones_classes)[:, None]
-        r_d *= cs.probs
-        r_d /= self.dataset.n
+            r_t += layers[last][0] @ r_in[last].T
+            r_t += c[:, None]
+        r_t -= self._ones_classes @ (cs.probs * r_t)
+        r_t *= cs.probs
+        r_t /= self.dataset.n
 
         out = np.empty(self.dimension)
-        grads = self.unpack(out)
-        for l in range(last, -1, -1):
+        grads = self._layer_views(out)
+        for l in range(last, 0, -1):
             dW, db = grads[l]
-            np.matmul(r_d.T, inputs[l], out=dW)
-            np.matmul(cs.ones_rows, r_d, out=db)  # column sums, faster than sum(axis=0)
-            if l == 0:
-                break
+            np.matmul(r_t, inputs[l], out=dW)
+            np.matmul(r_t, self._ones, out=db)  # sums over the examples
             dW += np.matmul(deltas[l].T, r_in[l], out=cs.dW_scratch[l])
             rh = acts[l - 1]  # R(h) of the layer below, free once R(dW) is taken
-            rg = np.matmul(r_d, layers[l][0], out=backs[l - 1])
+            rg = np.matmul(r_t.T, layers[l][0], out=backs[l - 1])
             if l == 1 and r_safe is not None:
                 # R(g) w.r.t. the normalized output, then J R(g) + R(J) g through the Jacobian
                 rg += np.matmul(deltas[1], dirs[1][0], out=normed)
@@ -430,17 +503,25 @@ class MLPCost(CostFunction):
                 rg += np.matmul(deltas[l], dirs[l][0], out=rh)
                 if cs.slopes is not None:
                     rg *= cs.slopes[l - 1]
-            r_d = rg
+            r_t = rg.T
+        out[self._first] = r_t @ inputs[0]
         return out
 
     def logits(self, theta, idx=None) -> np.ndarray:
         idx = self._all_rows if idx is None else np.asarray(idx, dtype=np.intp)
-        return self._forward(self.unpack(theta), idx)[0]
+        return self._forward(self._layers(self.check(theta)), idx)[0].T.copy()
 
     def accuracy(self, theta) -> float:
-        """Training accuracy; argmax ties resolve to the lower class index."""
-        logits = self.logits(theta)
-        pred = np.argmax(logits, axis=1)
+        """Training accuracy; argmax ties resolve to the lower class index. At the
+        theta of the last full-batch evaluation, equal by value, it reads that
+        evaluation's logits instead of running a forward pass."""
+        theta = self.check(theta)
+        kept = self._kept
+        if kept is not None and np.array_equal(kept[0], theta):
+            logits = kept[1]
+        else:
+            logits = self._forward(self._layers(theta), self._all_rows)[0]
+        pred = np.argmax(logits, axis=0)
         return float(np.mean(pred == self.dataset.labels))
 
 
@@ -448,30 +529,28 @@ class _Curvature:
     """What every R-pass at one theta reads, kept between calls at an equal theta.
 
     ``theta`` is a copy of the parameters the state belongs to, compared by
-    value while ``complete``, and ``layers`` its (W, b) views. ``ws`` holds, per
-    hidden layer, the activation h and the backprop signal delta at the
-    pre-activation (and the normalized first layer); ``deltas`` is those
-    signals plus (softmax - one-hot)/n at the logits and ``probs`` the softmax.
+    value while ``complete``, and ``layers`` its layers as ``MLPCost._layers``
+    gives them. ``ws`` holds, per hidden layer, the activation h and the
+    backprop signal delta at the pre-activation (and the normalized first
+    layer); ``deltas`` is those
+    signals plus (softmax - one-hot)/n at the logits, as an (n, classes) view,
+    and ``probs`` the class-major (classes, n) softmax.
     ``slopes`` is sigma'(z) per hidden layer (None for linear) and ``curls``
     g sigma''/sigma' = -2 h g for tanh (None otherwise), g being the signal at
     the activation's output. With the normalization layer, ``g_norm`` is the
     signal at its output, ``hg`` the row dot h.g_norm and ``norm_state``
     ||h|| per row, with zeros read as one. ``dW_scratch`` holds one
-    weight-shaped product per layer; ``ones_rows`` and ``ones_classes`` turn
-    column and row sums into matrix-vector products. Buffers are made once,
-    on the first hvp.
+    weight-shaped product per layer. Buffers are made once, on the first hvp.
     """
 
     def __init__(self, net):
         n = net.dataset.n
         hidden = net.layer_sizes[1:-1]
         self.theta = np.empty(net.dimension)
-        self.layers = net.unpack(self.theta)
         self.complete = False
         self.ws = net._buffers(n)
         self.slopes = None if net.activation == "linear" else [np.empty((n, w)) for w in hidden]
         self.curls = [np.empty((n, w)) for w in hidden] if net.activation == "tanh" else None
         self.g_norm = np.empty((n, hidden[0])) if net.normalize_first else None
         self.dW_scratch = [W for W, _ in net.unpack(np.empty(net.dimension))]
-        self.ones_rows, self.ones_classes = np.ones(n), np.ones(net.layer_sizes[-1])
-        self.inputs = self.deltas = self.probs = self.norm_state = self.hg = None
+        self.layers = self.inputs = self.deltas = self.probs = self.norm_state = self.hg = None

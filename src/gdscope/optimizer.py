@@ -9,7 +9,9 @@ otherwise. Given identical inputs, trajectories are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -88,14 +90,14 @@ class SampleTable(Sequence):
     """
 
     _FIELDS = tuple(f.name for f in fields(M.MetricSample) if f.name != "iteration")
+    _cells = operator.attrgetter(*_FIELDS)
 
     def __init__(self, samples):
-        cells = [[getattr(s, name) for name in self._FIELDS] for s in samples]
-        shape = (len(cells), len(self._FIELDS))
+        cells = list(itertools.chain.from_iterable(map(self._cells, samples)))
+        shape = (len(samples), len(self._FIELDS))
         self._iterations = np.array([s.iteration for s in samples], dtype=np.int64)
-        self._defined = np.array([[c is not None for c in row] for row in cells],
-                                 dtype=bool).reshape(shape)
-        self._values = np.array([[math.nan if c is None else c for c in row] for row in cells],
+        self._defined = np.array([c is not None for c in cells], dtype=bool).reshape(shape)
+        self._values = np.array([math.nan if c is None else c for c in cells],
                                 dtype=np.float64).reshape(shape)
 
     def __len__(self):
@@ -135,20 +137,31 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     return None
 
 
-def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
+def _step(g, gnorm, eta):
+    """The step eta*g. When eta*||g|| is not finite the product may overflow, and it is
+    taken without numpy's overflow warning: the caller reads the step as undefined
+    or the run as diverged."""
+    if math.isfinite(eta * gnorm):
+        return eta * g
+    with np.errstate(over="ignore"):
+        return eta * g
+
+
+def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=False):
     """The sample at iterate t, whether rp/dir are defined, and what it owes (or None).
 
-    It owes (step, rhs): rp, dir and the identity's left side wait on the loss and
-    gradient at theta - step, step = eta*g; rhs is the identity's right side, or None.
-    With ``look_ahead`` it evaluates theta - step itself and owes nothing.
+    It owes (step, step.step, rhs): rp, dir and the identity's left side wait on the
+    loss and gradient at theta - step, step = eta*g; rhs is the identity's right
+    side, or None. With ``look_ahead`` it evaluates theta - step itself and owes
+    nothing.
     """
-    sample = M.MetricSample(iteration=t, loss=loss, grad_norm=gnorm)
+    sample = M.MetricSample(t, loss, gnorm)
     defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
     needs_step = flags.rp or flags.dir or flags.identity
     if defined and (needs_step or flags.tau_sweep):
-        step = eta * g
+        step_sq = float(step @ step)
         # a step that overflows or underflows leaves every metric along it undefined
-        defined = 0.0 < float(step @ step) < math.inf
+        defined = 0.0 < step_sq < math.inf
     rhs = None
     if defined and (flags.identity or flags.tau_sweep):  # one tau sweep serves both
         taus = (flags.grid or M.QuadratureGrid.default()).taus
@@ -160,7 +173,7 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
     if flags.sharpness and math.isfinite(loss):
         # the value only: the estimate's Ritz vector is not kept per sample
         sample.sharpness = float(M.sharpness(cost, theta))
-    owes = (step, rhs) if defined and needs_step else None
+    owes = (step, step_sq, rhs) if defined and needs_step else None
     if owes is not None and look_ahead:
         _finish_step(sample, owes, g, *cost.value_and_gradient(theta - step), eta, flags)
         owes = None
@@ -170,7 +183,7 @@ def _sample_at(cost, theta, t, loss, g, gnorm, eta, flags, look_ahead=False):
 def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
     """rp, dir and the identity residual along step = eta*g, from the loss and gradient
     at theta - step; ``_sample_at`` owes only a step with 0 < step.step < inf."""
-    step, rhs = owes
+    step, step_sq, rhs = owes
     if flags.rp or rhs is not None:
         rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
         if flags.rp:
@@ -178,7 +191,7 @@ def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
         if rhs is not None:
             sample.identity_residual = abs(rp - rhs)
     if flags.dir:
-        sample.dir = float(step @ (g - next_g)) / float(step @ step)
+        sample.dir = float(step @ (g - next_g)) / step_sq
 
 
 def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
@@ -188,7 +201,8 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     One ``value_and_gradient`` per iterate: theta - eta*g is exactly the next
     iterate, so rp, dir and the identity residual (whose left side is rp) are
     filled in one step late, and only the terminal sample evaluates one
-    iterate ahead.
+    iterate ahead. The step eta*g and its squared norm are each computed once
+    and serve both the metrics and the update.
     """
     flags = flags or MetricFlags()
     theta = as_params(theta0, cost.dimension)
@@ -202,7 +216,8 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         if owed:
             _finish_step(*owed, loss, g, config.eta, flags)
             owed = None
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g @ g)  # the bits of np.linalg.norm, without its overhead
+        step = _step(g, gnorm, config.eta)
         if record_iterates:
             iterates.append(theta.copy())
 
@@ -212,7 +227,7 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
         if at_cadence or terminal:
             try:
-                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, config.eta,
+                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
                                              flags, look_ahead=terminal)
                 owed = (sample, owes, g) if owes is not None else None
             except Exception as exc:
@@ -220,7 +235,7 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             samples.append(sample)
         if terminal:
             break
-        theta = theta - config.eta * g
+        theta = theta - step
 
     return Trajectory(samples, theta, outcome, iterates)
 
@@ -250,11 +265,15 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     outcome = OUTCOME_BUDGET
     step = 0
 
-    def epoch_sample(t):
+    def epoch_sample(t, stop):
+        """Sample the iterate after t steps; with ``stop``, return the stop rule's outcome
+        there, read before the look-ahead evaluates another theta."""
         loss, g = cost.value_and_gradient(theta)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g @ g)
+        stopped = _stop_rule(cost, theta, loss, gnorm, config) if stop else None
         try:
-            sample, defined, _ = _sample_at(cost, theta, t, loss, g, gnorm, config.eta,
+            sample, defined, _ = _sample_at(cost, theta, t, loss, g, gnorm,
+                                            _step(g, gnorm, config.eta), config.eta,
                                             flags, look_ahead=True)
             if defined and flags.expected_rp:
                 (sample.rp, _), _ = M._paired_draw(cost, theta, config.eta, batch,
@@ -265,9 +284,9 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         samples.append(sample)
         if record_checkpoints:
             checkpoints.append(theta.copy())
-        return loss, gnorm
+        return stopped
 
-    epoch_sample(0)
+    epoch_sample(0, stop=False)
 
     for epoch in range(config.max_iter):
         if batch >= n:
@@ -282,10 +301,10 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             if not np.all(np.isfinite(theta)):
                 outcome = OUTCOME_DIVERGED
                 break
-        loss, gnorm = epoch_sample(step)
+        stopped = epoch_sample(step, stop=outcome != OUTCOME_DIVERGED)
         if outcome == OUTCOME_DIVERGED:
             break
-        outcome = _stop_rule(cost, theta, loss, gnorm, config) or OUTCOME_BUDGET
+        outcome = stopped or OUTCOME_BUDGET
         if outcome != OUTCOME_BUDGET:
             break
 

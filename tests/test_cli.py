@@ -387,3 +387,19 @@ def test_a_step_that_overflows_or_underflows_leaves_its_metrics_undefined(
     assert rows[0][:3] == ["0", "4.5", "3.0"] and rows[0][3:5] == ["", ""]
     summary = json.loads((tmp_path / "extreme-step.csv.summary.json").read_text())
     assert summary["outcome"] == outcome
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_non_finite_final_loss_is_written_as_null(tmp_path, capsys):
+    # the overflowing step leaves an infinite loss; strict JSON has no Infinity
+    cfg = tmp_path / "extreme-step.cfg"
+    cfg.write_text(EXTREME_STEP_CFG.format(eta="1e308", metrics=""))
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "extreme-step.csv.summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["outcome"] == "diverged"
+    assert summary["final_loss"] is None
+    assert isinstance(summary["eta"], float) and isinstance(summary["runtime_s"], float)

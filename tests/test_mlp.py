@@ -301,6 +301,23 @@ def test_stochastic_gradients_over_every_row_are_the_gradient(blob_dataset, kw):
         assert np.array_equal(row, full)
 
 
+@pytest.mark.parametrize("kw", [*NETS, pytest.param(dict(activation="tanh", hidden_sizes=()),
+                                                   id="no-hidden")])
+def test_every_full_batch_entry_point_is_the_same_pass_bit_for_bit(blob_dataset, kw):
+    # value, gradient, value_and_gradient and minibatches of every row share one pass
+    kw = dict(kw)
+    net = MLPCost(blob_dataset, hidden_sizes=kw.pop("hidden_sizes", (6, 5)), **kw)
+    n = blob_dataset.n
+    rng = np.random.default_rng(14)
+    for theta in (net.init_params(3), net.init_params(4) + 0.3 * rng.standard_normal(net.dimension)):
+        value, grad = net.value_and_gradient(theta)
+        assert value == net.value(theta)
+        assert np.array_equal(grad, net.gradient(theta))
+        assert np.array_equal(grad, net.stochastic_gradient(theta, np.arange(n)))
+        stacked = net.stochastic_gradients(theta, np.tile(np.arange(n), (2, 1)))
+        assert np.array_equal(stacked, np.stack([grad, grad]))
+
+
 @pytest.mark.parametrize("kw", NETS)
 def test_weight_decayed_stochastic_gradients_are_the_rows(blob_dataset, kw):
     net = WeightDecayWrapped(MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw), 0.03)
@@ -425,25 +442,51 @@ def _head_cases(net, rng):
 @pytest.mark.parametrize("classes", [2, 4, 10])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_softmax_head_is_the_two_pass_formula_bit_for_bit(classes, activation):
-    # the shared head against the separate max / exp / sum passes it replaced
+    # the shared head against its formulas written out on class-major logits: sums
+    # over classes, the loss mean and the bias gradient as vector products, and the
+    # mean's 1/n folded into the softmax
     ds = synth_dataset(SynthSpec(n=60, d=3, classes=classes, cluster_spread=0.6, seed=classes))
     net = MLPCost(ds, hidden_sizes=(7,), activation=activation)
     n = ds.n
-    onehot = np.eye(classes)[ds.labels]
+    onehot = np.eye(classes)[ds.labels].T
     for name, theta in _head_cases(net, np.random.default_rng(classes)).items():
-        logits = net.logits(theta)
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        want_loss = float(np.mean(lse - logits[np.arange(n), ds.labels]))
-        p = logits - m
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        p -= onehot
-        p /= n
-        want_bias_grad = p.sum(axis=0)
+        logits = np.ascontiguousarray(net.logits(theta).T)
+        m = logits.max(axis=0)
+        e = np.exp(logits - m)
+        s = np.ones(classes) @ e
+        lse = m + np.log(s)
+        want_loss = float((lse - logits[ds.labels, np.arange(n)]) @ np.ones(n)) / n
+        p = e / (s * n) - onehot / n
+        want_bias_grad = p @ np.ones(n)
 
         value, grad = net.value_and_gradient(theta)
         assert value == net.value(theta) == want_loss, name
         assert np.array_equal(grad, net.gradient(theta)), name
         assert np.array_equal(grad[-classes:], want_bias_grad), name
         assert np.all(np.isfinite(grad)), name
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_accuracy_at_the_last_evaluated_theta_reads_its_logits(monkeypatch, classes):
+    # bit for bit a fresh cost's accuracy, ties included, and with no forward pass
+    ds = synth_dataset(SynthSpec(n=60, d=3, classes=classes, cluster_spread=0.6, seed=classes))
+    net = MLPCost(ds, hidden_sizes=(7,), activation="tanh")
+    forwards = []
+    forward = net._forward
+    monkeypatch.setattr(net, "_forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    for name, theta in _head_cases(net, np.random.default_rng(classes)).items():
+        want = MLPCost(ds, hidden_sizes=(7,), activation="tanh").accuracy(theta)
+        for evaluate in (net.value, net.gradient, net.value_and_gradient):
+            evaluate(theta)
+            forwards.clear()
+            assert net.accuracy(theta) == want, name
+            assert net.accuracy(theta.copy()) == want, name  # equal by value
+            assert not forwards, name
+    # a minibatch pass keeps nothing, and a theta changed in place is evaluated afresh
+    theta = net.init_params(5)
+    net.value(theta)
+    net.stochastic_gradient(3.0 * theta, np.arange(ds.n))
+    theta *= 3.0
+    forwards.clear()
+    assert net.accuracy(theta) == MLPCost(ds, hidden_sizes=(7,), activation="tanh").accuracy(theta)
+    assert len(forwards) == 1

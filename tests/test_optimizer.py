@@ -480,3 +480,33 @@ def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorit
     for s, theta in zip(traj.samples, thetas, strict=True):
         assert s.identity_residual == verify_identity(net, theta, 0.5, grid).residual
         assert (s.rp is not None) == rp_dir and (s.dir is not None) == rp_dir
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "sgd"])
+@pytest.mark.parametrize("stop_accuracy, outcome", [(1.0, "budget_exhausted"),
+                                                    (0.8, "converged")])
+def test_the_accuracy_stop_rule_runs_no_forward_pass_of_its_own(
+        monkeypatch, algorithm, stop_accuracy, outcome):
+    # the stop rule reads the logits the iterate's own evaluation just computed
+    ds = synth_dataset(SynthSpec(n=64, d=4, classes=3, cluster_spread=0.6, seed=2))
+    net = MLPCost(ds, hidden_sizes=(8,), activation="tanh")
+    forwards, accuracies = [], []
+    forward, accuracy = net._forward, net.accuracy
+    monkeypatch.setattr(net, "_forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    monkeypatch.setattr(net, "accuracy", lambda th: accuracies.append(1) or accuracy(th))
+    config = OptimizerConfig(eta=0.5, max_iter=40, metric_cadence=1,
+                             stop_accuracy=stop_accuracy,
+                             batch_size=64 if algorithm == "sgd" else None)
+    if algorithm == "gd":
+        traj = gd_run(net, net.init_params(0), config, QUIET)
+        evaluations = traj.samples[-1].iteration + 1  # one value_and_gradient per iterate
+    else:
+        traj = sgd_run(net, net.init_params(0), config, QUIET)
+        # per epoch: one minibatch gradient and the epoch sample's evaluation
+        evaluations = 1 + 2 * (len(traj.samples) - 1)
+    assert traj.outcome == outcome
+    assert len(accuracies) == len(traj.samples) - (algorithm == "sgd")
+    assert len(forwards) == evaluations
+    fresh = MLPCost(ds, hidden_sizes=(8,), activation="tanh")
+    assert (accuracy(traj.final_theta) >= stop_accuracy) == (outcome == "converged")
+    assert accuracy(traj.final_theta) == fresh.accuracy(traj.final_theta)
