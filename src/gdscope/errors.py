@@ -6,11 +6,12 @@ class ContractViolation(ValueError):
 
 
 class NearStationaryError(RuntimeError):
-    """Metric undefined at a near-stationary point (gradient norm below the floor)."""
+    """Metric undefined at the iterate: loss or gradient norm not finite, or the norm below
+    the floor (a near-stationary point)."""
 
 
 class ZeroDirectionError(RuntimeError):
-    """Directional smoothness requested along a zero (or underflowing) direction."""
+    """Metric undefined along a step or direction whose squared norm is zero or not finite."""
 
 
 class PowerIterationError(RuntimeError):

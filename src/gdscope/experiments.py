@@ -23,7 +23,6 @@ import numpy as np
 
 from . import costs as C
 from . import data as D
-from . import metrics as M
 from . import mlp as NN
 from . import optimizer as O
 from .errors import ConfigError, ContractViolation
@@ -161,9 +160,6 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     if "expected_rp_batches" in met:
         flag_kwargs["expected_rp_batches"] = parse_int(
             met.pop("expected_rp_batches"), where="metrics.expected_rp_batches", minimum=1)
-    if "tau_points" in met:
-        flag_kwargs["grid"] = M.QuadratureGrid.default(
-            parse_int(met.pop("tau_points"), where="metrics.tau_points", minimum=1))
     if met:
         raise ConfigError(f"metrics: unknown keys {sorted(met)}")
     flags = O.MetricFlags(**flag_kwargs)
@@ -310,12 +306,7 @@ class RunSummary:
         return json.dumps(fields, sort_keys=True, allow_nan=False)
 
 
-def _outcome_label(traj: O.Trajectory) -> str:
-    if traj.outcome == O.OUTCOME_DIVERGED:
-        return "diverged"
-    if traj.outcome == O.OUTCOME_CONVERGED:
-        return "converged"
-    return "bounded-oscillation"
+_LABELS = {O.OUTCOME_BUDGET: "bounded-oscillation"}  # other outcomes are their own label
 
 
 def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
@@ -324,6 +315,9 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
     the_eta = spec.etas[0] if eta is None else eta
     config = spec.optimizer_config(the_eta)
     cost, theta0 = build_cost(spec)
+    if spec.algorithm == "sgd" and cost.num_examples is None:
+        raise ConfigError(f"optimizer.algorithm: sgd needs a dataset-backed cost, "
+                          f"not cost.kind = {spec.cost['kind'].strip()}")
     started = time.perf_counter()
     if spec.algorithm == "sgd":
         traj = O.sgd_run(cost, theta0, config, spec.flags)
@@ -333,7 +327,7 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
 
     regime = reason = None
     defined_rp = sum(1 for s in traj.samples if s.rp is not None)
-    if traj.outcome == O.OUTCOME_DIVERGED or defined_rp >= 10:
+    if traj.outcome == O.OUTCOME_DIVERGED or defined_rp >= O.MIN_RP_SAMPLES:
         call = O.classify_regime(traj)
         regime, reason = call.regime, call.reason
 
@@ -348,7 +342,7 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
 
     summary = RunSummary(
         name=spec.name, eta=the_eta, outcome=traj.outcome,
-        label=_outcome_label(traj), regime=regime, regime_reason=reason,
+        label=_LABELS.get(traj.outcome, traj.outcome), regime=regime, regime_reason=reason,
         final_loss=traj.final_loss, iterations=traj.samples[-1].iteration,
         runtime_s=round(runtime, 4), seed=config.seed, csv_path=str(csv_path),
     )

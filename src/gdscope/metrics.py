@@ -1,4 +1,4 @@
-"""Per-iterate diagnostics for (S)GD runs.
+"""Per-iterate diagnostics for (S)GD runs, one-shot and along a trace.
 
 The two primitive quantities are the relative progress ratio
 
@@ -19,20 +19,25 @@ grid points. Sharpness (largest Hessian eigenvalue) is estimated matrix-free
 by Lanczos with a certified Ritz residual; along a step segment each point
 is warm-started from the previous point's Ritz vector.
 
+One rule says where the step eta*g from theta is measurable, for the trace's
+sampler ``_sample_at`` (which leaves the step's fields empty) and for every
+one-shot entry point (which raises): eta obeys 0 < eta < inf, else
+ContractViolation; theta's loss and gradient norm are finite and the norm is
+at least ``grad_floor(loss)``, else NearStationaryError; and ||eta*g||^2 lies
+in (0, inf), else ZeroDirectionError. ``directional_smoothness`` applies the
+last two to its step v.
+
 The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
 twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
 ``expected_rp_rhs`` its directional-smoothness form. Both are views of one
-paired draw, which evaluates theta once, draws all minibatches first and
-takes their gradients g_b in one stacked ``stochastic_gradients`` call, and
-makes one ``value_and_gradient`` at each theta - eta*g_b, so the two
-estimates use the same samples; every sample's tau sweep is then integrated
-in one call. Whichever view is called first computes the pair and parks the
-other view's result in a one-entry memo. A later call of
-the other view with an equal key (the same cost object, theta's bytes, eta,
-batch_size, num_batches, seed, the same grad_sampler object and, for the
-RHS, the grid) takes it and clears the entry; every other call computes
-afresh. The memo holds weak references only. It assumes that a cost (and a
-sampler) is not mutated between the two calls of a pair.
+paired draw, which evaluates theta once, takes all minibatch gradients g_b in
+one stacked ``stochastic_gradients`` call and makes one
+``value_and_gradient`` at each theta - eta*g_b. Whichever view is called
+first parks the other's result in a one-entry memo, which a later call of the
+other view with an equal key (the same cost and sampler objects, theta's
+bytes, eta, batch_size, num_batches, seed and, for the RHS, the grid) takes
+and clears. The memo holds weak references only, and assumes that a cost
+(and a sampler) is not mutated between the two calls of a pair.
 
 All functions are pure given (cost, theta, parameters, seed); sweeps reduce
 in a fixed order so repeated calls are bit-identical.
@@ -40,6 +45,7 @@ in a fixed order so repeated calls are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import weakref
 from dataclasses import dataclass
@@ -96,6 +102,7 @@ class QuadratureGrid:
 
 
 _ONE_NODE = QuadratureGrid.default(1)  # tau = 1 alone: dir at the full step
+_DEFAULT_GRID = QuadratureGrid.default()
 
 
 class IdentityCheck(NamedTuple):
@@ -104,31 +111,55 @@ class IdentityCheck(NamedTuple):
     residual: float
 
 
-def _gradient_above_floor(cost, theta):
+def _check_eta(eta):
+    """The step-size rule of every run and entry point: 0 < eta < inf."""
+    if not 0 < eta < math.inf:
+        raise ContractViolation(f"eta must be positive and finite, got {eta}")
+
+
+def _step(g, gnorm, eta):
+    """The step eta*g; where eta*||g|| is not finite it may overflow, and is taken without
+    numpy's overflow warning (the step is then unmeasurable)."""
+    with contextlib.nullcontext() if math.isfinite(eta * gnorm) else np.errstate(over="ignore"):
+        return eta * g
+
+
+def _step_sq(loss, gnorm, step, step_norm):
+    """||step||^2 where a step from an iterate with this loss and gradient norm is
+    measurable (the module docstring's rule). From a ``step_norm`` of 1e150, or an
+    unknown (inf) one, the square is taken without numpy's overflow warning."""
+    if not (math.isfinite(loss) and math.isfinite(gnorm) and gnorm >= grad_floor(loss)):
+        raise NearStationaryError(f"gradient norm {gnorm:.3e} at loss {loss:.3e}: not finite "
+                                  "or below the floor, so metrics here are undefined")
+    with np.errstate(over="ignore") if step_norm >= 1e150 else contextlib.nullcontext():
+        step_sq = float(step @ step)
+    if not 0.0 < step_sq < math.inf:
+        raise ZeroDirectionError("step norm is zero or not finite: metrics along it undefined")
+    return step_sq
+
+
+def _measured(cost, theta, eta, v=None):
+    """(theta, loss, g, ||g||, step, step.step) at a measurable step eta*g, or v; else raises."""
+    _check_eta(eta)
     theta = as_params(theta, cost.dimension)
     loss, g = cost.value_and_gradient(theta)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < grad_floor(loss):
-        raise NearStationaryError(
-            f"gradient norm {gnorm:.3e} below floor {grad_floor(loss):.3e}: "
-            "metric undefined at near-stationary point"
-        )
-    return theta, loss, g, gnorm
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, unwarned
+        gnorm = float(np.linalg.norm(g))
+    step = _step(g, gnorm, eta) if v is None else np.ascontiguousarray(v, dtype=np.float64)
+    step_norm = eta * gnorm if v is None else math.inf  # unknown for v
+    return theta, loss, g, gnorm, step, _step_sq(loss, gnorm, step, step_norm)
 
 
 def relative_progress(cost: CostFunction, theta, eta: float) -> float:
     """One-step loss change normalized by eta * ||grad||^2; negative = descent."""
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
-    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
-    return (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
+    theta, loss, _, gnorm, step, _ = _measured(cost, theta, eta)
+    return (cost.value(theta - step) - loss) / (eta * gnorm**2)
 
 
 def directional_smoothness(cost: CostFunction, theta, v) -> float:
-    """Secant curvature <v, grad(theta) - grad(theta - v)> / ||v||^2."""
-    theta = as_params(theta, cost.dimension)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    return float(_dir_along(cost, theta, cost.gradient(theta), v, 1.0, np.ones(1))[0])
+    """Secant curvature <v, grad(theta) - grad(theta - v)> / ||v||^2, v taken as the step."""
+    theta, _, g, _, v, vv = _measured(cost, theta, 1.0, v)
+    return float(v @ (g - cost.gradient(theta - v))) / vv
 
 
 def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
@@ -179,13 +210,56 @@ def verify_identity(cost: CostFunction, theta, eta: float,
     ``include_zero_node=False`` drops the quadrature's extrapolated tau = 0
     node; it exists for fault injection in the self-check command.
     """
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
-    taus = (grid or QuadratureGrid.default()).taus
-    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
+    taus = (grid or _DEFAULT_GRID).taus
+    theta, loss, g, gnorm, step, _ = _measured(cost, theta, eta)
     rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
-    lhs = (cost.value(theta - eta * g) - loss) / (eta * gnorm**2)
+    lhs = (cost.value(theta - step) - loss) / (eta * gnorm**2)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+
+
+def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=False, erp=None):
+    """The sample at iterate t, and what it owes: None, or ``_finish_step``'s first
+    arguments, as rp, dir and the identity's left side wait on the loss and gradient at
+    theta - step, step = eta*g. With ``look_ahead`` it evaluates theta - step itself and
+    owes nothing; with ``erp`` = (batch_size, seed generator), rp holds expected rp."""
+    sample = MetricSample(t, loss, gnorm)
+    needs_step = flags.rp or flags.dir or flags.identity
+    step_sq = rhs = None
+    if needs_step or flags.tau_sweep or erp:
+        try:
+            step_sq = _step_sq(loss, gnorm, step, eta * gnorm)
+        except (NearStationaryError, ZeroDirectionError):
+            pass  # the step's fields stay empty
+    if step_sq is not None and (flags.identity or flags.tau_sweep):  # one sweep serves both
+        dirs = _dir_along(cost, theta, g, g, eta, _DEFAULT_GRID.taus)
+        if flags.identity:
+            rhs = _identity_rhs(eta, _DEFAULT_GRID.taus, dirs)
+        if flags.tau_sweep:
+            sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
+    if flags.sharpness and math.isfinite(loss):
+        # the value only: the estimate's Ritz vector is not kept per sample
+        sample.sharpness = float(sharpness(cost, theta))
+    owes = (sample, step, step_sq, rhs, g) if step_sq is not None and needs_step else None
+    if owes is not None and look_ahead:
+        _finish_step(*owes, *cost.value_and_gradient(theta - step), eta, flags)
+        owes = None
+    if step_sq is not None and erp:
+        (sample.rp, _), _ = _paired_draw(cost, theta, eta, erp[0], flags.expected_rp_batches,
+                                         erp[1].integers(0, 2**63), lhs_only=True)
+    return sample, owes
+
+
+def _finish_step(sample, step, step_sq, rhs, g, next_loss, next_g, eta, flags):
+    """rp, dir and the identity residual (rhs is its right side, or None) along the
+    step from an iterate with gradient g, from the loss and gradient at theta - step."""
+    if flags.rp or rhs is not None:
+        rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
+        if flags.rp:
+            sample.rp = rp
+        if rhs is not None:
+            sample.identity_residual = abs(rp - rhs)
+    if flags.dir:
+        sample.dir = float(step @ (g - next_g)) / step_sq
 
 
 # --- sharpness ---------------------------------------------------------------
@@ -234,10 +308,8 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
     held fixed (sigma'' = 0, and sigma' = 0 at a kink as in the gradient),
     which is the Hessian wherever no pre-activation is exactly zero.
     """
-    if tol <= 0:
-        raise ContractViolation("tol must be positive")
-    if max_iter < 1:
-        raise ContractViolation("max_iter must be >= 1")
+    if tol <= 0 or max_iter < 1:
+        raise ContractViolation(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     theta = as_params(theta, cost.dimension)
     dim = cost.dimension
     steps = min(max_iter, dim)
@@ -298,12 +370,11 @@ def segment_max_sharpness(cost: CostFunction, theta, eta: float, samples: int = 
     """
     if samples < 2:
         raise ContractViolation("need samples >= 2")
-    theta, _, g, _ = _gradient_above_floor(cost, theta)
-    step = -eta * g
+    theta, _, _, _, step, _ = _measured(cost, theta, eta)
     est = sharpness(cost, theta, tol, max_iter, seed)
     best = float(est)
     for i in range(1, samples):
-        point = theta + (i / (samples - 1)) * step
+        point = theta - (i / (samples - 1)) * step
         est = sharpness(cost, point, tol, max_iter, seed, start=est.vector)
         best = max(best, float(est))
     return best
@@ -358,7 +429,7 @@ def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=N
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
-    theta, loss, g, gnorm = _gradient_above_floor(cost, theta)
+    theta, loss, g, gnorm, _, _ = _measured(cost, theta, eta)
     rng = np.random.default_rng(np.uint64(seed))
     grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
     scale = eta * gnorm**2

@@ -1,10 +1,11 @@
-"""Instrumented, deterministic GD and SGD loops.
+"""Deterministic GD and SGD loops: stepping, stop rules and regime classification.
 
 A trajectory halts with outcome ``diverged`` when the loss reaches
 ``BLOWUP_LOSS`` (1e12) or any evaluation goes non-finite, ``converged`` when
 the stop rule fires (training accuracy for classifiers, otherwise the
 gradient falling below the near-stationary floor), and ``budget_exhausted``
-otherwise. Given identical inputs, trajectories are bit-identical.
+otherwise. Given identical inputs, trajectories are bit-identical. What a
+sample records, and where a step is measurable, is up to the sampler in ``metrics``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ STABLE_RP_CUT = -0.5
 NEAR_ZERO_BAND = 0.25
 STABLE_FRAC = 0.9
 UNSTABLE_FRAC = 0.5
+MIN_RP_SAMPLES = 10  # fewer defined rp samples leave a run unclassified
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class OptimizerConfig:
     batch_size: Optional[int] = None  # None means full-batch GD
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
-            raise ContractViolation(f"eta must be positive and finite, got {self.eta}")
+        M._check_eta(self.eta)
         if self.max_iter < 1:
             raise ContractViolation("max_iter must be >= 1")
         if self.metric_cadence is not None and self.metric_cadence < 1:
@@ -77,7 +78,6 @@ class MetricFlags:
     identity: bool = False
     tau_sweep: bool = False
     expected_rp: bool = False  # SGD epoch metric
-    grid: Optional[M.QuadratureGrid] = None
     expected_rp_batches: int = 64
 
 
@@ -137,63 +137,6 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     return None
 
 
-def _step(g, gnorm, eta):
-    """The step eta*g. When eta*||g|| is not finite the product may overflow, and it is
-    taken without numpy's overflow warning: the caller reads the step as undefined
-    or the run as diverged."""
-    if math.isfinite(eta * gnorm):
-        return eta * g
-    with np.errstate(over="ignore"):
-        return eta * g
-
-
-def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=False):
-    """The sample at iterate t, whether rp/dir are defined, and what it owes (or None).
-
-    It owes (step, step.step, rhs): rp, dir and the identity's left side wait on the
-    loss and gradient at theta - step, step = eta*g; rhs is the identity's right
-    side, or None. With ``look_ahead`` it evaluates theta - step itself and owes
-    nothing.
-    """
-    sample = M.MetricSample(t, loss, gnorm)
-    defined = math.isfinite(loss) and gnorm >= M.grad_floor(loss) and math.isfinite(gnorm)
-    needs_step = flags.rp or flags.dir or flags.identity
-    if defined and (needs_step or flags.tau_sweep):
-        step_sq = float(step @ step)
-        # a step that overflows or underflows leaves every metric along it undefined
-        defined = 0.0 < step_sq < math.inf
-    rhs = None
-    if defined and (flags.identity or flags.tau_sweep):  # one tau sweep serves both
-        taus = (flags.grid or M.QuadratureGrid.default()).taus
-        dirs = M._dir_along(cost, theta, g, g, eta, taus)
-        if flags.identity:
-            rhs = M._identity_rhs(eta, taus, dirs)
-        if flags.tau_sweep:
-            sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
-    if flags.sharpness and math.isfinite(loss):
-        # the value only: the estimate's Ritz vector is not kept per sample
-        sample.sharpness = float(M.sharpness(cost, theta))
-    owes = (step, step_sq, rhs) if defined and needs_step else None
-    if owes is not None and look_ahead:
-        _finish_step(sample, owes, g, *cost.value_and_gradient(theta - step), eta, flags)
-        owes = None
-    return sample, defined, owes
-
-
-def _finish_step(sample, owes, g, next_loss, next_g, eta, flags):
-    """rp, dir and the identity residual along step = eta*g, from the loss and gradient
-    at theta - step; ``_sample_at`` owes only a step with 0 < step.step < inf."""
-    step, step_sq, rhs = owes
-    if flags.rp or rhs is not None:
-        rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
-        if flags.rp:
-            sample.rp = rp
-        if rhs is not None:
-            sample.identity_residual = abs(rp - rhs)
-    if flags.dir:
-        sample.dir = float(step @ (g - next_g)) / step_sq
-
-
 def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
            flags: MetricFlags | None = None, record_iterates: bool = False) -> Trajectory:
     """Exact deterministic gradient descent with per-cadence instrumentation.
@@ -209,15 +152,15 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     cadence = config.cadence_for(cost)
     samples: list = []
     iterates = [] if record_iterates else None
-    owed = None  # (sample, what it owes, g) waiting on the next iterate
+    owed = None  # what the last sample owes, waiting on the next iterate
 
     for t in range(config.max_iter + 1):
         loss, g = cost.value_and_gradient(theta)
         if owed:
-            _finish_step(*owed, loss, g, config.eta, flags)
+            M._finish_step(*owed, loss, g, config.eta, flags)
             owed = None
         gnorm = math.sqrt(g @ g)  # the bits of np.linalg.norm, without its overhead
-        step = _step(g, gnorm, config.eta)
+        step = M._step(g, gnorm, config.eta)
         if record_iterates:
             iterates.append(theta.copy())
 
@@ -227,9 +170,8 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
         if at_cadence or terminal:
             try:
-                sample, _, owes = _sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
-                                             flags, look_ahead=terminal)
-                owed = (sample, owes, g) if owes is not None else None
+                sample, owed = M._sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
+                                            flags, look_ahead=terminal)
             except Exception as exc:
                 raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
             samples.append(sample)
@@ -259,7 +201,7 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     theta = as_params(theta0, cost.dimension)
     rng = np.random.default_rng(np.uint64(config.seed))
     # expected-rp seeds have a stream of their own, so recording them leaves the shuffles
-    erp_seeds = np.random.default_rng([config.seed, 1]) if flags.expected_rp else None
+    erp = (batch, np.random.default_rng([config.seed, 1])) if flags.expected_rp else None
     samples: list = []
     checkpoints = [] if record_checkpoints else None
     outcome = OUTCOME_BUDGET
@@ -272,13 +214,9 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         gnorm = math.sqrt(g @ g)
         stopped = _stop_rule(cost, theta, loss, gnorm, config) if stop else None
         try:
-            sample, defined, _ = _sample_at(cost, theta, t, loss, g, gnorm,
-                                            _step(g, gnorm, config.eta), config.eta,
-                                            flags, look_ahead=True)
-            if defined and flags.expected_rp:
-                (sample.rp, _), _ = M._paired_draw(cost, theta, config.eta, batch,
-                                                   flags.expected_rp_batches,
-                                                   erp_seeds.integers(0, 2**63), lhs_only=True)
+            sample, _ = M._sample_at(cost, theta, t, loss, g, gnorm,
+                                     M._step(g, gnorm, config.eta), config.eta, flags,
+                                     look_ahead=True, erp=erp)
         except Exception as exc:
             raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
         samples.append(sample)
@@ -289,10 +227,7 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
     epoch_sample(0, stop=False)
 
     for epoch in range(config.max_iter):
-        if batch >= n:
-            order = np.arange(n)
-        else:
-            order = rng.permutation(n)
+        order = np.arange(n) if batch >= n else rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             g = cost.stochastic_gradient(theta, idx)
@@ -332,9 +267,9 @@ def classify_regime(traj: Trajectory) -> RegimeCall:
     if traj.outcome == OUTCOME_DIVERGED:
         return RegimeCall(REGIME_DIVERGED, "trajectory diverged", 0, 0.0, 0.0)
     rps = np.array([s.rp for s in traj.samples if s.rp is not None])
-    if rps.size < 10:
+    if rps.size < MIN_RP_SAMPLES:
         raise ContractViolation(
-            f"need >= 10 defined rp samples to classify, got {rps.size}"
+            f"need >= {MIN_RP_SAMPLES} defined rp samples to classify, got {rps.size}"
         )
     losses = np.array([s.loss for s in traj.samples])
     frac_stable = float(np.mean(rps < STABLE_RP_CUT))
@@ -373,8 +308,9 @@ def escape_experiment(cost: CostFunction, p, perturb_scale: float, eta: float,
     at infinite distance. Also reports the largest iterate norm seen, so
     escape can be distinguished from divergence.
     """
-    if not (perturb_scale > 0 and eta > 0 and iters >= 1 and trials >= 1):
-        raise ContractViolation("need perturb_scale > 0, eta > 0, iters >= 1 and trials >= 1")
+    M._check_eta(eta)
+    if not (perturb_scale > 0 and iters >= 1 and trials >= 1):
+        raise ContractViolation("need perturb_scale > 0, iters >= 1 and trials >= 1")
     p = as_params(p, cost.dimension)
     rng = np.random.default_rng(np.uint64(seed))
     distances = np.empty(trials)

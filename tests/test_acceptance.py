@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from gdscope import acceptance, experiments
+from gdscope import acceptance, experiments, metrics
 
 RUNTIME_BUDGETS_S = {
     "quadratic-stability-boundary": 1.0,
@@ -34,18 +34,28 @@ PRESETS_LOADED = {"quad-sweep": 2, "flat-quad": 2, "single-neuron-linear": 1,
                   "norm-layer-decay": 1, "sgd-check-relu": 1}
 
 
+# one-shot metrics whose values the criteria read from their runs' traces instead
+TRACED = ("relative_progress", "directional_smoothness")
+
+
+def _spy(calls, name, fn):
+    return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def checked():
-    """check_all's results by name, and the preset names it loaded."""
-    loaded = []
+    """check_all's results by name, the preset names it loaded, and its calls of TRACED."""
+    loaded, measured = [], []
     load = experiments.load_preset
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(experiments, "load_preset", lambda name: loaded.append(name) or load(name))
+        for name in TRACED:
+            patched.setattr(metrics, name, _spy(measured, name, getattr(metrics, name)))
         out = acceptance.check_all()
     print()
     for r in out:
         print(f"{r.report_line()} runtime={r.runtime_s}s")
-    return {r.name: r for r in out}, loaded
+    return {r.name: r for r in out}, loaded, measured
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +69,10 @@ def test_all_criteria_present(results):
 
 def test_criteria_run_the_shipped_presets(checked):
     assert Counter(checked[1]) == PRESETS_LOADED
+
+
+def test_criteria_read_rp_and_dir_from_their_traces(checked):
+    assert checked[2] == []
 
 
 @pytest.mark.parametrize("name", sorted(RUNTIME_BUDGETS_S))

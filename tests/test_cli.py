@@ -289,10 +289,6 @@ max_iter = 2
 
 
 @pytest.mark.parametrize("field,text", [
-    pytest.param("metrics.tau_points",
-                 QUAD_CFG + "\n[metrics]\nidentity = true\ntau_points = abc\n", id="tau_points"),
-    pytest.param("metrics.tau_points", QUAD_CFG + "\n[metrics]\ntau_points = 0\n",
-                 id="tau_points-zero"),
     pytest.param("metrics.expected_rp_batches",
                  QUAD_CFG + "\n[metrics]\nexpected_rp_batches = 1.5\n", id="expected_rp_batches"),
     pytest.param("optimizer.max_iter", QUAD_CFG.replace("max_iter = 800", "max_iter = many"),
@@ -318,7 +314,7 @@ def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
     cfg.write_text(MLP_CFG.replace("hidden = 4", "hidden = 4\nactivation = relu")
                    .replace("max_iter = 2", "max_iter = 2\nalgorithm = sgd\nbatch_size = 4")
                    + "\n[metrics]\nsharpness = true\nidentity = true\ntau_sweep = true\n"
-                   "tau_points = 5\n\n[output]\npath = sgd-metrics.csv\n")
+                   "\n[output]\npath = sgd-metrics.csv\n")
     assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
     text = (tmp_path / "sgd-metrics.csv").read_text()
     assert "# algorithm = sgd" in text

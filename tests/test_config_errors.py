@@ -125,11 +125,22 @@ def test_well_formed_templates_run():
 
 @pytest.mark.parametrize("template, section, key, value", [
     pytest.param(QUAD, "optimizer", "blowup_threshold", "1e12", id="blowup_threshold"),
-    pytest.param(MLP, "cost", "normalize_eps", "0", id="normalize_eps")])
+    pytest.param(MLP, "cost", "normalize_eps", "0", id="normalize_eps"),
+    pytest.param(QUAD + "\n[metrics]\nidentity = true\n", "metrics", "tau_points", "abc",
+                 id="tau_points"),
+    pytest.param(QUAD + "\n[metrics]\n", "metrics", "tau_points", "0", id="tau_points-zero")])
 def test_removed_keys_exit_2_as_unknown(template, section, key, value):
-    # neither setting exists any more: a config that sets one, even to its old
-    # default, is refused rather than ignored
+    # none of these settings exists any more: a config that sets one, to any value,
+    # is refused rather than ignored
     template = template.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     code, err = _exit_code(template, "eta", GOOD["eta"])
     assert code == 2, err
     assert f"{section}: unknown keys" in err and key in err, err
+
+
+def test_sgd_on_a_closed_form_cost_exits_2():
+    # sgd draws minibatches from a dataset, which a closed-form cost does not have
+    template = QUAD.replace("max_iter = 5", "max_iter = 5\nalgorithm = sgd\nbatch_size = 4")
+    code, err = _exit_code(template, "eta", GOOD["eta"])
+    assert code == 2, err
+    assert "optimizer.algorithm" in err and "quadratic" in err, err

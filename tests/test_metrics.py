@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from gdscope import (
     WeightDecayWrapped,
     ZeroDirectionError,
     directional_smoothness,
+    escape_experiment,
     expected_rp,
     expected_rp_rhs,
     gd_run,
@@ -93,6 +95,47 @@ def test_rp_undefined_near_stationary():
         relative_progress(cost, [0.0, 0.0], 0.01)
     with pytest.raises(ContractViolation):
         relative_progress(cost, [1.0, 1.0], 0.0)
+
+
+# --- the one rule for a measurable step --------------------------------------------
+
+EDGE = Quadratic(np.diag([1.0, 0.0]))  # at (3, 1): loss 4.5, gradient (3, 0)
+ENTRY_POINTS = {
+    "relative_progress": lambda theta, eta: relative_progress(EDGE, theta, eta),
+    "verify_identity": lambda theta, eta: verify_identity(EDGE, theta, eta),
+    "segment_max_sharpness": lambda theta, eta: segment_max_sharpness(EDGE, theta, eta),
+    "expected_rp": lambda theta, eta: expected_rp(
+        EDGE, theta, eta, 1, 4, seed=0, grad_sampler=lambda rng: rng.standard_normal(2)),
+    "expected_rp_rhs": lambda theta, eta: expected_rp_rhs(
+        EDGE, theta, eta, 1, 4, seed=0, grad_sampler=lambda rng: rng.standard_normal(2)),
+    # the step v stands in for eta * gradient
+    "directional_smoothness": lambda theta, v: directional_smoothness(EDGE, theta, v),
+    "escape_experiment": lambda theta, eta: escape_experiment(EDGE, theta, 1e-4, eta, 5, 3, 0),
+}
+METRICS = sorted(set(ENTRY_POINTS) - {"escape_experiment"})
+ETA_TAKING = sorted(set(ENTRY_POINTS) - {"directional_smoothness"})
+
+
+@pytest.mark.parametrize("entry, theta, arg, error", [
+    # eta breaks the runs' rule 0 < eta < inf
+    *[pytest.param(name, (3.0, 1.0), eta, ContractViolation, id=f"{name}-eta={eta}")
+      for name in ETA_TAKING for eta in (-1.0, 0.0, math.inf, math.nan)],
+    # the iterate: stationary, or its loss and gradient norm overflow
+    *[pytest.param(name, theta, (1.0, 0.0) if name == "directional_smoothness" else 0.1,
+                   NearStationaryError, id=f"{name}-theta={theta}")
+      for name in METRICS for theta in ((0.0, 1.0), (1e200, 1.0))],
+    # the step eta*g (or v) overflows, its squared norm overflows, or it underflows to 0
+    *[pytest.param(name, (3.0, 1.0), arg, ZeroDirectionError, id=f"{name}-step={arg}")
+      for name in METRICS
+      for arg in (((1e308, 1e308), (1e200, 0.0), (1e-170, 0.0))
+                  if name == "directional_smoothness" else (1e308, 1e200, 1e-320))],
+])
+def test_an_unmeasurable_step_raises_and_never_warns(entry, theta, arg, error):
+    # no NaN, no 0.0, no value at all, and no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            ENTRY_POINTS[entry](np.array(theta), arg)
 
 
 # --- directional smoothness ----------------------------------------------------

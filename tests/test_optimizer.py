@@ -279,18 +279,17 @@ def test_escape_flattened_quadratic_bounded():
 def test_sgd_records_sharpness_identity_and_tau_sweep():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
-    grid = QuadratureGrid.default(8)
     config = OptimizerConfig(eta=0.3, max_iter=3, batch_size=8, seed=4)
     traj = sgd_run(net, net.init_params(1), config,
-                   MetricFlags(sharpness=True, identity=True, tau_sweep=True, grid=grid),
+                   MetricFlags(sharpness=True, identity=True, tau_sweep=True),
                    record_checkpoints=True)
     assert len(traj.samples) == 4
     for s, theta in zip(traj.samples, traj.iterates):
         assert s.sharpness == sharpness(net, theta)
-        assert s.identity_residual == verify_identity(net, theta, 0.3, grid).residual
+        assert s.identity_residual == verify_identity(net, theta, 0.3).residual
         g = net.gradient(theta)
         dirs = np.array([directional_smoothness(net, theta, (0.3 * tau) * g)
-                         for tau in grid.taus])
+                         for tau in QuadratureGrid.default().taus])
         assert (s.tau_dir_mean, s.tau_dir_std) == (float(np.mean(dirs)), float(np.std(dirs)))
 
 
@@ -444,20 +443,19 @@ def test_gd_evaluates_once_per_iterate(flags, cadence, extra):
 @pytest.mark.parametrize("algorithm", ["gd", "sgd"])
 def test_identity_and_tau_sweep_share_one_sweep(algorithm):
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    grid = QuadratureGrid.default(10)
     counts = []
     for tau_sweep in (False, True):
         net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
-        flags = MetricFlags(identity=True, tau_sweep=tau_sweep, grid=grid)
+        flags = MetricFlags(identity=True, tau_sweep=tau_sweep)
         run = gd_run if algorithm == "gd" else sgd_run
         run(net, net.init_params(1),
             OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8), flags)
         counts.append(net.evaluations)
     # gd: 13 iterates and the terminal look-ahead; sgd: 13 epoch samples, each with its
-    # look-ahead. Every sample adds one gradient per tau node; the identity's left side
-    # is the next iterate's loss, which is evaluated anyway.
+    # look-ahead. Every sample adds one gradient per node of the 100-node tau grid; the
+    # identity's left side is the next iterate's loss, which is evaluated anyway.
     evaluated, samples = (13 + 1, 4) if algorithm == "gd" else (13 * 2, 13)
-    assert counts == [evaluated + samples * 10] * 2
+    assert counts == [evaluated + samples * 100] * 2
 
 
 @pytest.mark.parametrize("rp_dir", [True, False])
@@ -465,8 +463,7 @@ def test_identity_and_tau_sweep_share_one_sweep(algorithm):
 def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorithm, rp_dir):
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
-    grid = QuadratureGrid.default(10)
-    flags = MetricFlags(rp=rp_dir, dir=rp_dir, identity=True, grid=grid)
+    flags = MetricFlags(rp=rp_dir, dir=rp_dir, identity=True)
     config = OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8)
     if algorithm == "gd":
         traj = gd_run(net, net.init_params(1), config, flags, record_iterates=True)
@@ -475,10 +472,10 @@ def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorit
         traj = sgd_run(net, net.init_params(1), config, flags, record_checkpoints=True)
         thetas = traj.iterates
     # the same count with rp and dir off: the identity alone owes the look-ahead
-    assert net.evaluations == (13 + 1 + 4 * 10 if algorithm == "gd" else 13 * 2 + 13 * 10)
+    assert net.evaluations == (13 + 1 + 4 * 100 if algorithm == "gd" else 13 * 2 + 13 * 100)
     assert len(traj.samples) == (4 if algorithm == "gd" else 13)
     for s, theta in zip(traj.samples, thetas, strict=True):
-        assert s.identity_residual == verify_identity(net, theta, 0.5, grid).residual
+        assert s.identity_residual == verify_identity(net, theta, 0.5).residual
         assert (s.rp is not None) == rp_dir and (s.dir is not None) == rp_dir
 
 
