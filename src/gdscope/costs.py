@@ -2,10 +2,9 @@
 
 All costs share one contract: ``value``, ``gradient``, ``value_and_gradient``
 and ``hvp``, on a flat float64 parameter vector whose dimension is fixed at
-construction and checked on every evaluation. Gradients are analytic (closed
-form here, backprop for the MLP). Hessian-vector products are analytic for
-quadratics, exact R-operator passes for the MLP, and a central finite
-difference of gradients for the remaining costs, all of which are C^2.
+construction and checked on every evaluation. Derivatives are exact: gradients
+in closed form here and by backprop for the MLP, Hessian-vector products in
+closed form here and by the R-operator pass for the MLP.
 
 Dataset-backed costs add minibatch gradients: ``stochastic_gradient`` over
 one index batch, and ``stochastic_gradients`` over a (k, b) stack of batches
@@ -21,9 +20,6 @@ import math
 import numpy as np
 
 from .errors import ContractViolation
-
-_EPS_CBRT = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
-
 
 def as_params(theta, dimension=None) -> np.ndarray:
     """Validate an incoming parameter vector: 1-D, float64, finite entries."""
@@ -69,12 +65,11 @@ def _finite_or_inf(v: float) -> float:
 class CostFunction:
     """Shared evaluation contract for every cost kind.
 
-    Subclasses set ``kind``, ``dimension`` and implement ``value`` and
-    ``gradient``. ``value_and_gradient`` returns exactly their pair, by default
-    by calling both; ``hvp`` defaults to a central finite difference of
-    gradients with step cbrt(machine eps) * (1 + ||theta||), which suits C^2
-    costs only: a cost that is not C^2 must override ``hvp``, as ``MLPCost``
-    does for relu networks with its exact R-operator pass.
+    Subclasses set ``kind``, ``dimension`` and implement ``value``,
+    ``gradient`` and ``_hvp``. ``value_and_gradient`` returns exactly the pair
+    of ``value`` and ``gradient``, by default by calling both. ``hvp`` checks
+    its arguments and hands them to ``_hvp``, the exact product; a cost
+    without one raises ``NotImplementedError``.
 
     Dataset-backed costs set ``num_examples`` and implement
     ``stochastic_gradient``; ``stochastic_gradients`` defaults to one
@@ -97,16 +92,16 @@ class CostFunction:
         return self.value(theta), self.gradient(theta)
 
     def hvp(self, theta, v) -> np.ndarray:
+        """H(theta) v for a nonzero, finite v of the cost's dimension."""
         theta = self.check(theta)
         v = as_params(v, self.dimension)
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
+        if not np.any(v):
             raise ContractViolation("hvp direction must be nonzero")
-        vhat = v / norm_v
-        eps = _EPS_CBRT * (1.0 + float(np.linalg.norm(theta)))
-        g_plus = self.gradient(theta + eps * vhat)
-        g_minus = self.gradient(theta - eps * vhat)
-        return (g_plus - g_minus) * (norm_v / (2.0 * eps))
+        return self._hvp(theta, v)
+
+    def _hvp(self, theta, v) -> np.ndarray:
+        """H(theta) v, on arguments ``hvp`` has checked."""
+        raise NotImplementedError(f"cost kind {self.kind!r} has no Hessian-vector product")
 
     def check(self, theta) -> np.ndarray:
         arr = np.ascontiguousarray(theta, dtype=np.float64)
@@ -166,11 +161,7 @@ class Quadratic(CostFunction):
         with np.errstate(over="ignore", invalid="ignore"):
             return self.P @ theta + self.q
 
-    def hvp(self, theta, v) -> np.ndarray:
-        self.check(theta)
-        v = as_params(v, self.dimension)
-        if not np.any(v):
-            raise ContractViolation("hvp direction must be nonzero")
+    def _hvp(self, theta, v) -> np.ndarray:
         return self.P @ v
 
 
@@ -193,6 +184,13 @@ class TanhQuadratic(CostFunction):
         t = math.tanh(self.inner.value(theta))
         return t, (1.0 - t**2) * self.inner.gradient(theta)
 
+    def _hvp(self, theta, v) -> np.ndarray:
+        # H = (1 - t^2) P - 2 t (1 - t^2) g g^T, with g the inner gradient
+        t = math.tanh(self.inner.value(theta))
+        slope = 1.0 - t * t
+        g = self.inner.gradient(theta)
+        return slope * self.inner._hvp(theta, v) - (2.0 * t * slope * float(g @ v)) * g
+
 
 class SingleNeuron(CostFunction):
     """Squared loss of a one-hidden-neuron net fitting the datapoint (1, 0).
@@ -208,23 +206,35 @@ class SingleNeuron(CostFunction):
         self.activation = activation
         self.kind = f"single_neuron_{activation}"
 
+    def _activation(self, t2):
+        """h(t2) and its first two derivatives."""
+        if self.activation == "linear":
+            return t2, 1.0, 0.0
+        h = math.tanh(t2)
+        dh = 1.0 - h * h
+        return h, dh, -2.0 * h * dh
+
     def value(self, theta) -> float:
         t1, t2 = self.check(theta)
-        h = math.tanh(t2) if self.activation == "tanh" else t2
+        h, _, _ = self._activation(t2)
         with np.errstate(over="ignore"):
             v = (t1 * h) ** 2
         return _finite_or_inf(v)
 
     def gradient(self, theta) -> np.ndarray:
         t1, t2 = self.check(theta)
-        if self.activation == "tanh":
-            h = math.tanh(t2)
-            dh = 1.0 - h * h
-        else:
-            h, dh = t2, 1.0
+        h, dh, _ = self._activation(t2)
         with np.errstate(over="ignore", invalid="ignore"):
             out = t1 * h
             return np.array([2.0 * out * h, 2.0 * out * t1 * dh])
+
+    def _hvp(self, theta, v) -> np.ndarray:
+        t1, t2 = theta
+        h, dh, d2h = self._activation(t2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = 4.0 * t1 * h * dh
+            hess = np.array([[2.0 * h * h, cross], [cross, 2.0 * t1 * t1 * (dh * dh + h * d2h)]])
+            return hess @ v
 
 
 class WeightDecayWrapped(CostFunction):
@@ -263,9 +273,8 @@ class WeightDecayWrapped(CostFunction):
         return (_finite_or_inf(v + self.gamma * float(theta @ theta)),
                 g + 2.0 * self.gamma * theta)
 
-    def hvp(self, theta, v) -> np.ndarray:
-        v = as_params(v, self.dimension)
-        return self.inner.hvp(theta, v) + 2.0 * self.gamma * v
+    def _hvp(self, theta, v) -> np.ndarray:
+        return self.inner._hvp(theta, v) + 2.0 * self.gamma * v
 
     @property
     def num_examples(self):

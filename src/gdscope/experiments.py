@@ -25,7 +25,7 @@ from . import costs as C
 from . import data as D
 from . import mlp as NN
 from . import optimizer as O
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, DatasetFormatError
 
 CSV_HEADER = "iter,loss,grad_norm,rp,dir,sharpness,identity_residual,tau_dir_mean,tau_dir_std"
 
@@ -63,10 +63,11 @@ def _parse_list(text: str, where: str, parse=parse_number) -> list:
 
 
 def _checked(where: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ContractViolation reported as a ConfigError on ``where``."""
+    """``build(*args, **kwargs)``, with a ContractViolation or DatasetFormatError reported
+    as a ConfigError on ``where``."""
     try:
         return build(*args, **kwargs)
-    except ContractViolation as exc:
+    except (ContractViolation, DatasetFormatError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -199,7 +200,7 @@ def _build_dataset(spec: ExperimentSpec) -> D.Dataset:
             raise ConfigError("dataset.path: required for source=cifar10")
         if not Path(path).exists():
             raise ConfigError(f"dataset.path: {path} does not exist")
-        return D.load_cifar10_binary(path, n_take)
+        return _checked("dataset", D.load_cifar10_binary, path, n_take)
     raise ConfigError(f"dataset.source: unknown source {source!r}")
 
 

@@ -25,7 +25,9 @@ one-shot entry point (which raises): eta obeys 0 < eta < inf, else
 ContractViolation; theta's loss and gradient norm are finite and the norm is
 at least ``grad_floor(loss)``, else NearStationaryError; and ||eta*g||^2 lies
 in (0, inf), else ZeroDirectionError. ``directional_smoothness`` applies the
-last two to its step v.
+last two to its step v. Expected rp also requires each sample gradient g_b
+to have finite ||g_b||^2 and ||eta*g_b||^2, else ZeroDirectionError; a zero
+g_b leaves the LHS defined and the RHS undefined.
 
 The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
 twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
@@ -117,6 +119,12 @@ def _check_eta(eta):
         raise ContractViolation(f"eta must be positive and finite, got {eta}")
 
 
+def _norm(g):
+    """||g||, with the bits of np.linalg.norm; a norm that overflows is inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(g @ g)
+
+
 def _step(g, gnorm, eta):
     """The step eta*g; where eta*||g|| is not finite it may overflow, and is taken without
     numpy's overflow warning (the step is then unmeasurable)."""
@@ -143,8 +151,7 @@ def _measured(cost, theta, eta, v=None):
     _check_eta(eta)
     theta = as_params(theta, cost.dimension)
     loss, g = cost.value_and_gradient(theta)
-    with np.errstate(over="ignore"):  # a norm that overflows is inf, unwarned
-        gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     step = _step(g, gnorm, eta) if v is None else np.ascontiguousarray(v, dtype=np.float64)
     step_norm = eta * gnorm if v is None else math.inf  # unknown for v
     return theta, loss, g, gnorm, step, _step_sq(loss, gnorm, step, step_norm)
@@ -244,8 +251,11 @@ def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=Fals
         _finish_step(*owes, *cost.value_and_gradient(theta - step), eta, flags)
         owes = None
     if step_sq is not None and erp:
-        (sample.rp, _), _ = _paired_draw(cost, theta, eta, erp[0], flags.expected_rp_batches,
-                                         erp[1].integers(0, 2**63), lhs_only=True)
+        try:
+            (sample.rp, _), _ = _paired_draw(cost, theta, eta, erp[0], flags.expected_rp_batches,
+                                             erp[1].integers(0, 2**63), lhs_only=True)
+        except ZeroDirectionError:
+            sample.rp = None  # a sample step that is not measurable leaves rp empty
     return sample, owes
 
 
@@ -426,12 +436,17 @@ def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=N
     The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
     ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
     ``lhs_only``, which skips the RHS: each point then costs one ``value``.
+    Raises ``ZeroDirectionError`` when some ||g_b||^2 or ||eta*g_b||^2 is not finite.
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
     theta, loss, g, gnorm, _, _ = _measured(cost, theta, eta)
     rng = np.random.default_rng(np.uint64(seed))
     grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below, unwarned
+        step_sqs = (eta * np.sqrt(np.einsum("ij,ij->i", grads, grads))) ** 2
+    if not np.all(step_sqs < math.inf):
+        raise ZeroDirectionError("a sample step's norm is not finite: expected rp undefined")
     scale = eta * gnorm**2
     fused = taus[-1] == 1.0
     lhs = np.empty(num_batches)

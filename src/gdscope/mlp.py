@@ -68,7 +68,7 @@ import math
 
 import numpy as np
 
-from .costs import CostFunction, _finite_or_inf, as_batches, as_params
+from .costs import CostFunction, _finite_or_inf, as_batches
 from .data import Dataset
 from .errors import ContractViolation
 
@@ -371,7 +371,7 @@ class MLPCost(CostFunction):
         grad[..., self._first] = np.matmul(d_t, _blocks(inputs[0], m))
         return loss
 
-    def hvp(self, theta, v) -> np.ndarray:
+    def _hvp(self, theta, v) -> np.ndarray:
         """Exact H v: Pearlmutter's R-operator, forward over reverse, over every row.
 
         The state at theta (``_Curvature``) is computed on the first call at a
@@ -379,10 +379,6 @@ class MLPCost(CostFunction):
         one R-forward and one R-backward pass. relu follows the gradient's
         subgradient convention: sigma' = 0 and sigma'' = 0 at the kink.
         """
-        theta = self.check(theta)
-        v = as_params(v, self.dimension)
-        if not np.any(v):
-            raise ContractViolation("hvp direction must be nonzero")
         return self._r_pass(self._curvature(theta), v)
 
     def _curvature(self, theta):

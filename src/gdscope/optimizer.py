@@ -159,7 +159,7 @@ def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         if owed:
             M._finish_step(*owed, loss, g, config.eta, flags)
             owed = None
-        gnorm = math.sqrt(g @ g)  # the bits of np.linalg.norm, without its overhead
+        gnorm = M._norm(g)
         step = M._step(g, gnorm, config.eta)
         if record_iterates:
             iterates.append(theta.copy())
@@ -211,7 +211,7 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         """Sample the iterate after t steps; with ``stop``, return the stop rule's outcome
         there, read before the look-ahead evaluates another theta."""
         loss, g = cost.value_and_gradient(theta)
-        gnorm = math.sqrt(g @ g)
+        gnorm = M._norm(g)
         stopped = _stop_rule(cost, theta, loss, gnorm, config) if stop else None
         try:
             sample, _ = M._sample_at(cost, theta, t, loss, g, gnorm,

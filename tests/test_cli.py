@@ -109,6 +109,48 @@ eta = 0.1
         X.build_cost(spec)
 
 
+CIFAR_CFG = """\
+[experiment]
+name = unit-cifar
+
+[cost]
+kind = mlp
+hidden = 4
+
+[dataset]
+source = cifar10
+path = {batch}
+n_take = {n_take}
+
+[optimizer]
+eta = 0.01
+max_iter = 2
+
+[output]
+path = unit-cifar.csv
+"""
+
+
+def test_cifar_spec_runs_from_a_local_batch_file(tmp_path, capsys):
+    from test_data import _write_records
+
+    batch = tmp_path / "data_batch_1.bin"
+    _write_records(batch, [3, 7, 0, 9])  # four records in the 3073-byte layout
+    cfg = tmp_path / "cifar.cfg"
+    cfg.write_text(CIFAR_CFG.format(batch=batch, n_take=4))
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
+    rows = [l for l in (tmp_path / "unit-cifar.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert rows[0].startswith("iter,") and rows[-1].startswith("2,")  # the last iterate
+    summary = json.loads((tmp_path / "unit-cifar.csv.summary.json").read_text())
+    assert summary["outcome"] == "budget_exhausted"
+    capsys.readouterr()
+    # a file the loader refuses is a malformed config, as a missing path is
+    cfg.write_text(CIFAR_CFG.format(batch=batch, n_take=9))
+    assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 2
+    assert "dataset: " in capsys.readouterr().err
+
+
 def test_sweep_orders_and_labels(quad_cfg, tmp_path, capsys):
     rc = cli.main(["sweep", str(quad_cfg), "--eta", "2/39", "2/40", "2/41",
                    "--outdir", str(tmp_path)])

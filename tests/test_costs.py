@@ -1,15 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gdscope import (
     ContractViolation,
+    CostFunction,
     Quadratic,
     SingleNeuron,
     TanhQuadratic,
     WeightDecayWrapped,
+    sharpness,
 )
+from gdscope.theory import jacobi_spectrum
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def central_fd_gradient(cost, theta, h=1e-5):
@@ -20,6 +26,22 @@ def central_fd_gradient(cost, theta, h=1e-5):
         e[i] = h
         out[i] = (cost.value(theta + e) - cost.value(theta - e)) / (2 * h)
     return out
+
+
+def fd_hvp_step(theta):
+    """The step of ``central_fd_hvp``: cbrt(machine eps) * (1 + ||theta||)."""
+    return EPS ** (1.0 / 3.0) * (1.0 + float(np.linalg.norm(theta)))
+
+
+def central_fd_hvp(cost, theta, v):
+    """The oracle for an exact hvp: a central difference of gradients along v,
+    off by O(step^2) on a C^2 cost."""
+    norm_v = float(np.linalg.norm(v))
+    vhat = v / norm_v
+    step = fd_hvp_step(theta)
+    g_plus = cost.gradient(theta + step * vhat)
+    g_minus = cost.gradient(theta - step * vhat)
+    return (g_plus - g_minus) * (norm_v / (2.0 * step))
 
 
 def test_quadratic_value_gradient():
@@ -146,26 +168,37 @@ def test_hvp_symmetry_for_smooth_costs():
         (Quadratic(np.diag([9.0, 1.0, 4.0])), 1.0),
         (TanhQuadratic(np.diag([9.0, 1.0, 4.0])), 0.2),
         (SingleNeuron("tanh"), 1.0),
+        (SingleNeuron("linear"), 1.0),
+        (WeightDecayWrapped(TanhQuadratic(np.diag([9.0, 1.0, 4.0])), 0.05), 0.2),
         (mlp, 0.3),
     ]:
         for _ in range(20):
             theta = scale * rng.standard_normal(cost.dimension)
             u = rng.standard_normal(cost.dimension)
             v = rng.standard_normal(cost.dimension)
-            a = float(u @ cost.hvp(theta, v))
-            b = float(v @ cost.hvp(theta, u))
-            assert abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b))
+            Hv, Hu = cost.hvp(theta, v), cost.hvp(theta, u)
+            # exact products: symmetric to rounding, relative to the Cauchy-Schwarz scale
+            bound = max(np.linalg.norm(u) * np.linalg.norm(Hv),
+                        np.linalg.norm(v) * np.linalg.norm(Hu))
+            assert abs(u @ Hv - v @ Hu) <= 1e-12 * bound, (cost.kind, u @ Hv, v @ Hu)
 
 
 def test_hvp_linearity_analytic_quadratic():
     rng = np.random.default_rng(6)
-    q = Quadratic(np.diag([11.0, 5.0, 2.0]))
-    theta = rng.standard_normal(3)
-    v = rng.standard_normal(3)
-    for a in (0.5, 3.0, -7.0):
-        lhs = q.hvp(theta, a * v)
-        rhs = a * q.hvp(theta, v)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(rhs))
+    for cost, scale in [
+        (Quadratic(np.diag([11.0, 5.0, 2.0])), 1.0),
+        (TanhQuadratic(np.diag([11.0, 5.0, 2.0])), 0.2),
+        (SingleNeuron("tanh"), 1.0),
+        (SingleNeuron("linear"), 1.0),
+        (WeightDecayWrapped(TanhQuadratic(np.diag([11.0, 5.0, 2.0])), 0.05), 0.2),
+    ]:
+        theta = scale * rng.standard_normal(cost.dimension)
+        v = rng.standard_normal(cost.dimension)
+        for a in (0.5, 3.0, -7.0):
+            lhs = cost.hvp(theta, a * v)
+            rhs = a * cost.hvp(theta, v)
+            # to rounding: 2000 random draws of these costs read at most 20 ulps
+            assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(rhs)), cost.kind
 
 
 def test_weight_decay_wrapper():
@@ -234,3 +267,79 @@ def test_value_and_gradient_is_exactly_value_then_gradient(kind, wrapped):
                 want_value, want_grad = cost.value(theta), cost.gradient(theta)
             assert value == want_value
             assert np.array_equal(grad, want_grad, equal_nan=True)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "weight_decay"])
+@pytest.mark.parametrize("kind", ["quadratic", "tanh_quadratic", "single_neuron_linear",
+                                  "single_neuron_tanh", "mlp_tanh", "mlp_relu",
+                                  "mlp_relu_normalized"])
+def test_hvp_is_the_exact_hessian_product(kind, wrapped):
+    from test_mlp import _active
+
+    cost = bare = _zoo(kind)
+    gamma = 0.05 if wrapped else 0.0
+    if wrapped:
+        cost = WeightDecayWrapped(bare, gamma)
+    rng = np.random.default_rng(23)
+    if kind.startswith("mlp"):
+        points = [bare.init_params(s) + 0.3 * rng.standard_normal(cost.dimension)
+                  for s in range(3)]
+    else:
+        points = [0.6 * rng.standard_normal(cost.dimension) for _ in range(3)]
+    checked = 0
+    for theta in points:
+        v = rng.standard_normal(cost.dimension)
+        step = fd_hvp_step(theta)
+        if kind.startswith("mlp_relu"):
+            # a relu kink within a step of theta breaks the difference, not the R-pass
+            vhat = v / np.linalg.norm(v)
+            if not all(np.array_equal(_active(bare, theta), _active(bare, theta + t * vhat))
+                       for t in (step, -step)):
+                continue
+        fd = central_fd_hvp(cost, theta, v)
+        # the difference's error is O(step^2); a dropped curvature term is O(1)
+        assert np.linalg.norm(cost.hvp(theta, v) - fd) <= step * np.linalg.norm(fd)
+        checked += 1
+    assert checked >= 2
+
+    # the dense Hessian from the unit vectors: symmetric to rounding, and its top
+    # eigenvalue is the certified sharpness
+    theta = points[0]
+    H = np.column_stack([cost.hvp(theta, e) for e in np.eye(cost.dimension)])
+    assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
+    dense = jacobi_spectrum(0.5 * (H + H.T)).lambda_max
+    assert abs(sharpness(cost, theta, tol=1e-10) - dense) <= 1e-10 * (1.0 + abs(dense))
+
+    if kind == "tanh_quadratic":
+        # tanh(21) == 1.0 in floating point, with a finite inner gradient (40, 2):
+        # the Hessian is the zero matrix there, plus the decay's 2 gamma I
+        flat, saturated = TanhQuadratic(np.diag([40.0, 2.0])), np.array([1.0, 1.0])
+        assert 1.0 - flat.value(saturated) ** 2 == 0.0
+        if wrapped:
+            flat = WeightDecayWrapped(flat, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flat.hvp(saturated, [0.3, -0.7])
+        assert np.array_equal(got, 2.0 * gamma * np.array([0.3, -0.7]))
+
+
+class _ValueAndGradientOnly(CostFunction):
+    kind = "value_and_gradient_only"
+    dimension = 2
+
+    def value(self, theta):
+        return float(self.check(theta) @ theta)
+
+    def gradient(self, theta):
+        return 2.0 * self.check(theta)
+
+
+def test_a_cost_without_an_hvp_has_no_sharpness():
+    # no finite-difference fallback: the missing product is named, never approximated
+    cost = _ValueAndGradientOnly()
+    with pytest.raises(NotImplementedError, match="value_and_gradient_only"):
+        cost.hvp([1.0, 2.0], [1.0, 0.0])
+    with pytest.raises(NotImplementedError, match="value_and_gradient_only"):
+        sharpness(cost, [1.0, 2.0])
+    with pytest.raises(ContractViolation):  # the arguments are checked first
+        cost.hvp([1.0, 2.0], [0.0, 0.0])

@@ -364,7 +364,7 @@ class SkewHvp(CostFunction):
     def gradient(self, theta):
         return np.zeros(3)
 
-    def hvp(self, theta, v):
+    def _hvp(self, theta, v):
         return self.A @ v
 
 
@@ -482,6 +482,11 @@ class CrossingTop(CostFunction):
         t = self.check(theta)
         return np.concatenate(([-1.0 + t[1] ** 2 - t[2] ** 2 / 2, (1 + 2 * t[0]) * t[1],
                                 (2 - t[0]) * t[2]], self.a * t[3:]))
+
+    def _hvp(self, theta, v):
+        return np.concatenate(([2 * theta[1] * v[1] - theta[2] * v[2],
+                                2 * theta[1] * v[0] + (1 + 2 * theta[0]) * v[1],
+                                -theta[2] * v[0] + (2 - theta[0]) * v[2]], self.a * v[3:]))
 
 
 @pytest.mark.parametrize("a", [(0.5, -0.3, 0.1)] + [
@@ -862,6 +867,15 @@ def test_a_zero_gradient_sample_leaves_the_lhs_and_fails_the_rhs():
         if not rhs_first:
             with pytest.raises(ZeroDirectionError):
                 expected_rp_rhs(cost, theta, eta, 1, n, 2, grad_sampler=sampler)
+
+
+def test_a_sample_step_that_overflows_fails_both_views():
+    # the full step 0.1 * (3, 0) is measurable; ||0.1 * (1e200, 0)||^2 overflows
+    cost = Quadratic(np.diag([1.0, 0.0]))
+    sampler = lambda rng: np.array([1e200, 0.0])  # noqa: E731
+    for view in (expected_rp, expected_rp_rhs, expected_rp):  # both orders of the pair
+        with pytest.raises(ZeroDirectionError):
+            view(cost, [3.0, 1.0], 0.1, 1, 4, 0, grad_sampler=sampler)
 
 
 def test_sgd_epoch_metric_evaluates_values_only(sgd_net):

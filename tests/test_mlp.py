@@ -5,9 +5,9 @@ import pytest
 
 from gdscope import (ContractViolation, MLPCost, Quadratic, SynthSpec, WeightDecayWrapped,
                      synth_dataset)
-from gdscope.costs import _EPS_CBRT, CostFunction
+from gdscope.costs import CostFunction
 
-from test_costs import central_fd_gradient
+from test_costs import central_fd_gradient, central_fd_hvp, fd_hvp_step
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +369,7 @@ def test_hvp_matches_the_finite_difference_oracle(blob_dataset, kw):
     net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
     checked = 0
     for theta, v in _hvp_cases(net, 8, count=5):
-        step = _EPS_CBRT * (1.0 + np.linalg.norm(theta))  # CostFunction.hvp's step
+        step = fd_hvp_step(theta)
         if kw["activation"] == "relu":
             # a relu kink within a step of theta breaks the difference, not the R-pass
             vhat = v / np.linalg.norm(v)
@@ -377,7 +377,7 @@ def test_hvp_matches_the_finite_difference_oracle(blob_dataset, kw):
                        for t in (step, -step)):
                 continue
         exact = net.hvp(theta, v)
-        fd = CostFunction.hvp(net, theta, v)
+        fd = central_fd_hvp(net, theta, v)
         # the difference's error is O(step^2); a dropped curvature term is O(1)
         assert np.linalg.norm(exact - fd) <= step * np.linalg.norm(fd)
         checked += 1

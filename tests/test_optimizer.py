@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -303,10 +305,47 @@ def test_sgd_long_run_loss_decreases():
     assert traj.samples[-1].loss < traj.samples[1].loss
 
 
+class _Sampled(Quadratic):
+    """A quadratic with four examples, each minibatch gradient the full one plus ``noise``."""
+
+    num_examples = 4
+
+    def __init__(self, P, noise=0.0):
+        super().__init__(P)
+        self.noise = noise
+
+    def stochastic_gradient(self, theta, batch):
+        return self.gradient(theta) + self.noise
+
+
+def test_gd_run_takes_a_gradient_norm_that_overflows_unwarned():
+    # ||g||^2 = 1e320 overflows; the run ends diverged at t = 0 with an empty rp
+    traj = gd_run(Quadratic(np.diag([1.0, 0.0])), [1e160, 1.0], OptimizerConfig(eta=0.1))
+    assert traj.outcome == "diverged"
+    assert [(s.iteration, s.grad_norm, s.rp) for s in traj.samples] == [(0, math.inf, None)]
+
+
+def test_sgd_epoch_sample_takes_a_gradient_norm_that_overflows_unwarned():
+    cost = _Sampled(np.diag([1.0, 0.0]))
+    traj = sgd_run(cost, [1e160, 1.0], OptimizerConfig(eta=0.1, max_iter=3, batch_size=2))
+    assert traj.outcome == "diverged"
+    assert [(s.iteration, s.grad_norm, s.rp) for s in traj.samples] == [
+        (0, math.inf, None), (2, math.inf, None)]
+
+
+def test_sgd_trace_leaves_expected_rp_empty_where_a_sample_step_overflows():
+    # the full step (0.3, 0) is measurable, the sample steps (1e199, 0) are not
+    cost = _Sampled(np.diag([1.0, 0.0]), noise=np.array([1e200, 0.0]))
+    flags = MetricFlags(dir=False, expected_rp=True, expected_rp_batches=4)
+    traj = sgd_run(cost, [3.0, 1.0], OptimizerConfig(eta=0.1, max_iter=1, batch_size=2), flags)
+    first = traj.samples[0]
+    assert (first.grad_norm, first.rp) == (3.0, None)
+
+
 class _SkewHvp(Quadratic):
     """An hvp that is not symmetric: Lanczos cannot certify a Ritz pair of it."""
 
-    def hvp(self, theta, v):
+    def _hvp(self, theta, v):
         return np.array([[10.0, 5.0], [0.0, 9.99]]) @ v
 
 
