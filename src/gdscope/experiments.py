@@ -30,6 +30,9 @@ from .errors import ConfigError, ContractViolation, DatasetFormatError
 CSV_HEADER = "iter,loss,grad_norm,rp,dir,sharpness,identity_residual,tau_dir_mean,tau_dir_std"
 
 _SECTIONS = ("experiment", "cost", "dataset", "init", "optimizer", "metrics", "output")
+# keys only one algorithm reads: a spec for the other refuses them rather than ignore them
+_READ_ONLY_BY = {"metric_cadence": "gd", "batch_size": "sgd", "seed": "sgd",
+                 "expected_rp": "sgd", "expected_rp_batches": "sgd"}
 
 
 def parse_number(text: str, *, where: str) -> float:
@@ -163,6 +166,11 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
             met.pop("expected_rp_batches"), where="metrics.expected_rp_batches", minimum=1)
     if met:
         raise ConfigError(f"metrics: unknown keys {sorted(met)}")
+    for where, keys in (("optimizer", opt_kwargs), ("metrics", flag_kwargs)):
+        for key in keys:
+            if _READ_ONLY_BY.get(key, algorithm) != algorithm:
+                raise ConfigError(f"{where}.{key}: read by {_READ_ONLY_BY[key]} only, "
+                                  f"and algorithm = {algorithm}")
     flags = O.MetricFlags(**flag_kwargs)
 
     out = _section(cp, "output")
@@ -271,7 +279,8 @@ def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,
     lines += [
         f"# resolved.optimizer.seed = {config.seed}",
         f"# resolved.optimizer.max_iter = {config.max_iter}",
-        f"# resolved.metric_cadence = {config.cadence_for(cost)}",
+        "# resolved.metric_cadence = "
+        + ("every epoch" if spec.algorithm == "sgd" else str(config.cadence_for(cost))),
         f"# resolved.init.seed = {spec.init.get('seed', 0)}",
     ]
     with open(path, "w") as fh:

@@ -228,9 +228,10 @@ def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=Fals
     """The sample at iterate t, and what it owes: None, or ``_finish_step``'s first
     arguments, as rp, dir and the identity's left side wait on the loss and gradient at
     theta - step, step = eta*g. With ``look_ahead`` it evaluates theta - step itself and
-    owes nothing; with ``erp`` = (batch_size, seed generator), rp holds expected rp."""
+    owes nothing; with ``erp`` = (batch_size, seed generator), rp holds expected rp, so
+    the step is evaluated only for dir or the identity."""
     sample = MetricSample(t, loss, gnorm)
-    needs_step = flags.rp or flags.dir or flags.identity
+    needs_step = (flags.rp and not erp) or flags.dir or flags.identity
     step_sq = rhs = None
     if needs_step or flags.tau_sweep or erp:
         try:
@@ -252,7 +253,8 @@ def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=Fals
         owes = None
     if step_sq is not None and erp:
         try:
-            (sample.rp, _), _ = _paired_draw(cost, theta, eta, erp[0], flags.expected_rp_batches,
+            (sample.rp, _), _ = _paired_draw(cost, theta, loss, g, gnorm, eta, erp[0],
+                                             flags.expected_rp_batches,
                                              erp[1].integers(0, 2**63), lhs_only=True)
         except ZeroDirectionError:
             sample.rp = None  # a sample step that is not measurable leaves rp empty
@@ -425,12 +427,13 @@ def _mean_and_stderr(samples):
     return est, err
 
 
-def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=None,
-                 taus=_ONE_NODE.taus, lhs_only=False):
+def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed,
+                 grad_sampler=None, taus=_ONE_NODE.taus, lhs_only=False):
     """Both expected-rp estimates from one draw: (lhs, rhs), each (estimate, stderr).
 
-    Evaluates theta once, draws the gradient samples g_b once (in the rng order
-    of ``_batch_gradients``) and makes one ``value_and_gradient`` at each
+    Takes theta's loss, gradient g and ||g|| from the caller, at a measurable
+    step; draws the gradient samples g_b once (in the rng order of
+    ``_batch_gradients``) and makes one ``value_and_gradient`` at each
     theta - eta*g_b: its value is the LHS sample and its gradient serves the
     RHS node tau = 1; any other node of ``taus`` is evaluated by ``gradient``.
     The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
@@ -440,7 +443,6 @@ def _paired_draw(cost, theta, eta, batch_size, num_batches, seed, grad_sampler=N
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
-    theta, loss, g, gnorm, _, _ = _measured(cost, theta, eta)
     rng = np.random.default_rng(np.uint64(seed))
     grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
     with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below, unwarned
@@ -516,7 +518,8 @@ def _paired_view(half, cost, theta, eta, batch_size, num_batches, seed, grad_sam
     keys = {"lhs": key, "rhs": key + (taus.tobytes(),)}
     result = _pair_memo.take(half, cost, grad_sampler, keys[half])
     if result is _PairMemo.MISS:
-        lhs, rhs = _paired_draw(cost, arr, eta, batch_size, num_batches, seed, grad_sampler, taus)
+        lhs, rhs = _paired_draw(cost, *_measured(cost, arr, eta)[:4], eta, batch_size,
+                                num_batches, seed, grad_sampler, taus)
         result, other, parked = (lhs, "rhs", rhs) if half == "lhs" else (rhs, "lhs", lhs)
         _pair_memo.park(other, cost, grad_sampler, keys[other], parked)
     if result is None:

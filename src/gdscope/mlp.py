@@ -9,9 +9,9 @@ which is the hook the stationary-point diagnostics key on.
 
 Evaluation allocates nothing of size (rows x width) once warm. A cost keeps
 one full-batch workspace, an activation buffer and a backprop buffer per
-hidden layer with one row per example, made on first use and kept for the
-cost's lifetime; a pass over fewer rows (a minibatch, a chunk of a batch
-stack) uses its leading rows, and only a batch longer than the dataset (rows
+hidden layer with one row per example, page-aligned, made on first use and
+kept for the cost's lifetime; a pass over fewer rows (a minibatch, a chunk of
+a batch stack) uses its leading rows, and only a batch longer than the dataset (rows
 drawn with repeats) gets a workspace of its own. Forward and backward passes
 write into them in place, and gradients are written straight into the array
 that is returned, so returned arrays never alias the workspace. Because the
@@ -73,6 +73,17 @@ from .data import Dataset
 from .errors import ContractViolation
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
+_PAGE = 4096
+
+
+def _page_aligned(rows, cols):
+    """An uninitialised (rows, cols) float64 array whose data starts on a 4096-byte
+    boundary, so the speed of the matmuls that write it does not hang on where the
+    heap happened to put it."""
+    nbytes = rows * cols * 8
+    raw = np.empty(nbytes + _PAGE, dtype=np.uint8)
+    start = -raw.ctypes.data % _PAGE
+    return raw[start : start + nbytes].view(np.float64).reshape(rows, cols)
 
 
 def _blocks(x, m):
@@ -173,12 +184,12 @@ class MLPCost(CostFunction):
 
     def _buffers(self, rows):
         """(activations, backprop signals, normalized first layer or None) for ``rows`` rows:
-        one new (rows, width) buffer of each kind per hidden layer."""
+        one new page-aligned (rows, width) buffer of each kind per hidden layer."""
         widths = self.layer_sizes[1:-1]
         return (
-            [np.empty((rows, w)) for w in widths],
-            [np.empty((rows, w)) for w in widths],
-            np.empty((rows, widths[0])) if self.normalize_first else None,
+            [_page_aligned(rows, w) for w in widths],
+            [_page_aligned(rows, w) for w in widths],
+            _page_aligned(rows, widths[0]) if self.normalize_first else None,
         )
 
     def _workspace(self, rows):

@@ -1,11 +1,15 @@
-"""Deterministic GD and SGD loops: stepping, stop rules and regime classification.
+"""GD and SGD on one stepping loop, with stop rules and regime classification.
 
-A trajectory halts with outcome ``diverged`` when the loss reaches
-``BLOWUP_LOSS`` (1e12) or any evaluation goes non-finite, ``converged`` when
-the stop rule fires (training accuracy for classifiers, otherwise the
-gradient falling below the near-stationary floor), and ``budget_exhausted``
-otherwise. Given identical inputs, trajectories are bit-identical. What a
-sample records, and where a step is measurable, is up to the sampler in ``metrics``.
+The loop evaluates each iterate once (``value_and_gradient``), applies the
+stop rule, samples at cadence and steps. GD steps to theta - eta*g; SGD's step
+is an epoch of minibatches, and the iterate after every epoch, the start
+included, is sampled and stop-checked. A trajectory halts with outcome
+``diverged`` when the loss reaches ``BLOWUP_LOSS`` (1e12), any evaluation goes
+non-finite or an SGD iterate does, ``converged`` when the stop rule fires
+(training accuracy for classifiers, otherwise the gradient falling below the
+near-stationary floor), and ``budget_exhausted`` otherwise. Given identical
+inputs, trajectories are bit-identical. What a sample records, and where a
+step is measurable, is up to the sampler in ``metrics``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ MIN_RP_SAMPLES = 10  # fewer defined rp samples leave a run unclassified
 class OptimizerConfig:
     eta: float
     max_iter: int = 1000
-    metric_cadence: Optional[int] = None  # None: 1 below dimension 1000, else 5
+    metric_cadence: Optional[int] = None  # gd_run only; None: 1 below dimension 1000, else 5
     stop_accuracy: Optional[float] = None
     seed: int = 0
     batch_size: Optional[int] = None  # None means full-batch GD
@@ -137,113 +141,83 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
     return None
 
 
-def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
-           flags: MetricFlags | None = None, record_iterates: bool = False) -> Trajectory:
-    """Exact deterministic gradient descent with per-cadence instrumentation.
-
-    One ``value_and_gradient`` per iterate: theta - eta*g is exactly the next
-    iterate, so rp, dir and the identity residual (whose left side is rp) are
-    filled in one step late, and only the terminal sample evaluates one
-    iterate ahead. The step eta*g and its squared norm are each computed once
-    and serve both the metrics and the update.
-    """
-    flags = flags or MetricFlags()
+def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> Trajectory:
+    """The stepping loop. Without ``epoch`` the step is GD's theta - eta*g, exactly the
+    next iterate, so a sample's rp, dir and identity residual are filled in one step
+    late and only the terminal sample looks ahead. ``epoch(theta)`` returns (the
+    iterate after an epoch, the minibatch steps taken, whether one went non-finite):
+    every sample then looks ahead, and a non-finite iterate ends the run diverged."""
     theta = as_params(theta0, cost.dimension)
-    cadence = config.cadence_for(cost)
     samples: list = []
-    iterates = [] if record_iterates else None
+    iterates = [] if record else None
     owed = None  # what the last sample owes, waiting on the next iterate
-
-    for t in range(config.max_iter + 1):
+    t, diverged = 0, False  # t: the steps taken, which label a sample
+    for k in range(config.max_iter + 1):
         loss, g = cost.value_and_gradient(theta)
         if owed:
             M._finish_step(*owed, loss, g, config.eta, flags)
             owed = None
         gnorm = M._norm(g)
         step = M._step(g, gnorm, config.eta)
-        if record_iterates:
+        if record:
             iterates.append(theta.copy())
-
-        at_cadence = t % cadence == 0
-        outcome = _stop_rule(cost, theta, loss, gnorm, config, at_cadence) or OUTCOME_BUDGET
-        terminal = outcome != OUTCOME_BUDGET or t == config.max_iter
-
+        at_cadence = k % cadence == 0
+        outcome = OUTCOME_DIVERGED if diverged else (
+            _stop_rule(cost, theta, loss, gnorm, config, at_cadence) or OUTCOME_BUDGET)
+        terminal = outcome != OUTCOME_BUDGET or k == config.max_iter
         if at_cadence or terminal:
             try:
                 sample, owed = M._sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
-                                            flags, look_ahead=terminal)
+                                            flags, terminal or epoch is not None, erp)
             except Exception as exc:
                 raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
             samples.append(sample)
         if terminal:
             break
-        theta = theta - step
+        if epoch is None:
+            theta, t = theta - step, t + 1
+        else:
+            theta, steps, diverged = epoch(theta)
+            t += steps
 
     return Trajectory(samples, theta, outcome, iterates)
 
 
+def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
+           flags: MetricFlags | None = None, record_iterates: bool = False) -> Trajectory:
+    """Exact deterministic gradient descent, sampled every ``config.cadence_for(cost)``
+    iterations; the step eta*g serves both the metrics and the update."""
+    return _run(cost, theta0, config, flags or MetricFlags(), config.cadence_for(cost),
+                record_iterates)
+
+
 def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
             flags: MetricFlags | None = None, record_checkpoints: bool = False) -> Trajectory:
-    """Epoch-shuffled minibatch SGD.
-
-    max_iter counts epochs. The end of every epoch is sampled like a GD iterate,
-    honouring every flag, except that with ``expected_rp`` on the rp field
-    holds the Monte Carlo expected-rp estimate.
-    batch_size = n skips shuffling so the run reduces bit-exactly to gd_run.
-    """
-    flags = flags or MetricFlags(dir=False)
+    """Epoch-shuffled minibatch SGD; max_iter counts epochs and ``metric_cadence`` is not
+    read. Every epoch's iterate is sampled like a GD iterate, except that with
+    ``expected_rp`` on the rp field holds the Monte Carlo expected-rp estimate.
+    batch_size = n skips shuffling so the run reduces bit-exactly to gd_run."""
     if config.batch_size is None:
         raise ContractViolation("sgd_run needs batch_size set")
     n = cost.num_examples
     if n is None:
         raise ContractViolation("sgd_run needs a dataset-backed cost")
+    flags = flags or MetricFlags(dir=False)
     batch = min(config.batch_size, n)
-    theta = as_params(theta0, cost.dimension)
     rng = np.random.default_rng(np.uint64(config.seed))
     # expected-rp seeds have a stream of their own, so recording them leaves the shuffles
     erp = (batch, np.random.default_rng([config.seed, 1])) if flags.expected_rp else None
-    samples: list = []
-    checkpoints = [] if record_checkpoints else None
-    outcome = OUTCOME_BUDGET
-    step = 0
 
-    def epoch_sample(t, stop):
-        """Sample the iterate after t steps; with ``stop``, return the stop rule's outcome
-        there, read before the look-ahead evaluates another theta."""
-        loss, g = cost.value_and_gradient(theta)
-        gnorm = M._norm(g)
-        stopped = _stop_rule(cost, theta, loss, gnorm, config) if stop else None
-        try:
-            sample, _ = M._sample_at(cost, theta, t, loss, g, gnorm,
-                                     M._step(g, gnorm, config.eta), config.eta, flags,
-                                     look_ahead=True, erp=erp)
-        except Exception as exc:
-            raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
-        samples.append(sample)
-        if record_checkpoints:
-            checkpoints.append(theta.copy())
-        return stopped
-
-    epoch_sample(0, stop=False)
-
-    for epoch in range(config.max_iter):
+    def epoch(theta):
         order = np.arange(n) if batch >= n else rng.permutation(n)
-        for start in range(0, n, batch):
+        for steps, start in enumerate(range(0, n, batch), 1):
             idx = order[start : start + batch]
-            g = cost.stochastic_gradient(theta, idx)
-            theta = theta - config.eta * g
-            step += 1
+            theta = theta - config.eta * cost.stochastic_gradient(theta, idx)
             if not np.all(np.isfinite(theta)):
-                outcome = OUTCOME_DIVERGED
-                break
-        stopped = epoch_sample(step, stop=outcome != OUTCOME_DIVERGED)
-        if outcome == OUTCOME_DIVERGED:
-            break
-        outcome = stopped or OUTCOME_BUDGET
-        if outcome != OUTCOME_BUDGET:
-            break
+                return theta, steps, True
+        return theta, steps, False
 
-    return Trajectory(samples, theta, outcome, checkpoints)
+    return _run(cost, theta0, config, flags, 1, record_checkpoints, epoch, erp)
 
 
 @dataclass(frozen=True)

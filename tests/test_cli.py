@@ -360,6 +360,7 @@ def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
     assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
     text = (tmp_path / "sgd-metrics.csv").read_text()
     assert "# algorithm = sgd" in text
+    assert "# resolved.metric_cadence = every epoch" in text
     assert "surrogate" not in text
     rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 3

@@ -144,3 +144,23 @@ def test_sgd_on_a_closed_form_cost_exits_2():
     code, err = _exit_code(template, "eta", GOOD["eta"])
     assert code == 2, err
     assert "optimizer.algorithm" in err and "quadratic" in err, err
+
+
+SGD = MLP.replace("max_iter = 2", "max_iter = 2\nalgorithm = sgd\nbatch_size = 4")
+
+
+@pytest.mark.parametrize("template, section, key, value", [
+    pytest.param(SGD, "optimizer", "metric_cadence", "3", id="metric_cadence-sgd"),
+    pytest.param(QUAD + "\n[metrics]\n", "metrics", "expected_rp", "true", id="expected_rp-gd"),
+    pytest.param(QUAD + "\n[metrics]\n", "metrics", "expected_rp_batches", "8",
+                 id="expected_rp_batches-gd"),
+    pytest.param(QUAD, "optimizer", "batch_size", "4", id="batch_size-gd"),
+    pytest.param(QUAD, "optimizer", "seed", "3", id="seed-gd")])
+def test_a_key_the_algorithm_does_not_read_exits_2(template, section, key, value):
+    # sgd samples every epoch, gd draws nothing at random and its rp is its own step's:
+    # the key would be ignored
+    assert _exit_code(template, "eta", GOOD["eta"])[0] == 0
+    template = template.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    code, err = _exit_code(template, "eta", GOOD["eta"])
+    assert code == 2, err
+    assert f"{section}.{key}: read by" in err, err

@@ -888,6 +888,23 @@ def test_sgd_epoch_metric_evaluates_values_only(sgd_net):
     assert all(s.rp is not None for s in traj.samples)
 
 
+@pytest.mark.parametrize("dir_, evaluations", [(False, 3), (True, 6)])
+def test_sgd_epoch_sample_evaluates_its_iterate_once(sgd_net, dir_, evaluations):
+    # the stop rule, the sample and the expected-rp draw share the iterate's one
+    # value_and_gradient; only dir adds the look-ahead at theta - eta*g
+    net, theta = sgd_net
+    cost = CountingCost(net)
+    traj = sgd_run(cost, theta, OptimizerConfig(eta=0.3, max_iter=2, batch_size=16, seed=1),
+                   MetricFlags(expected_rp=True, dir=dir_, expected_rp_batches=10),
+                   record_checkpoints=True)
+    assert cost.calls["value_and_gradient"] == evaluations
+    seeds = np.random.default_rng([1, 1])
+    for s, checkpoint in zip(traj.samples, traj.iterates, strict=True):
+        seed = seeds.integers(0, 2**63)
+        assert s.rp == expected_rp(net, checkpoint, 0.3, 16, 10, seed)[0]
+        assert (s.dir is not None) == dir_
+
+
 def test_expected_rp_can_go_positive_mid_training():
     # frozen replica: relu net driven hard by SGD keeps decreasing the loss in
     # the long run even though the expected one-step progress turns positive

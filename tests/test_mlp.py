@@ -219,6 +219,20 @@ def test_returned_arrays_do_not_alias_the_workspace(blob_dataset, kw):
         assert np.array_equal(k, snap)
 
 
+@pytest.mark.parametrize("kw", NETS)
+def test_workspace_buffers_start_on_a_page(blob_dataset, kw):
+    # so the speed of the matmuls that write them does not move with the heap's layout
+    net = MLPCost(blob_dataset, hidden_sizes=(6, 5), **kw)
+    theta = net.init_params(1)
+    acts, backs, normed = net._workspace(blob_dataset.n)
+    curv_acts, curv_backs, curv_normed = net._curvature(theta).ws
+    buffers = acts + backs + curv_acts + curv_backs
+    buffers += [b for b in (normed, curv_normed) if b is not None]
+    assert len(buffers) == 8 + 2 * kw.get("normalize_first", False)
+    for b in buffers:
+        assert b.ctypes.data % 4096 == 0 and b.flags.c_contiguous and b.dtype == np.float64
+
+
 def _minor_faults_per_warm_call(call, calls=100):
     import resource
 

@@ -6,6 +6,7 @@ import pytest
 from gdscope import optimizer
 from gdscope import (
     ContractViolation,
+    CostFunction,
     MLPCost,
     MetricFlags,
     MetricSample,
@@ -326,11 +327,38 @@ def test_gd_run_takes_a_gradient_norm_that_overflows_unwarned():
 
 
 def test_sgd_epoch_sample_takes_a_gradient_norm_that_overflows_unwarned():
+    # the stop rule checks epoch 0 as gd_run checks iteration 0: diverged at the start
     cost = _Sampled(np.diag([1.0, 0.0]))
     traj = sgd_run(cost, [1e160, 1.0], OptimizerConfig(eta=0.1, max_iter=3, batch_size=2))
     assert traj.outcome == "diverged"
-    assert [(s.iteration, s.grad_norm, s.rp) for s in traj.samples] == [
-        (0, math.inf, None), (2, math.inf, None)]
+    assert [(s.iteration, s.grad_norm, s.rp) for s in traj.samples] == [(0, math.inf, None)]
+
+
+class _FlatWithHugeBatches(CostFunction):
+    """Loss 1 and gradient (1, 0) at every theta, finite or not; every minibatch
+    gradient is (1e308, 0), so an SGD step from -1e308 overflows to -inf."""
+
+    kind, dimension, num_examples = "flat", 2, 6
+
+    def value(self, theta):
+        return 1.0
+
+    def gradient(self, theta):
+        return np.array([1.0, 0.0])
+
+    def stochastic_gradient(self, theta, batch):
+        return np.array([1e308, 0.0])
+
+
+def test_a_non_finite_sgd_iterate_ends_the_run_diverged():
+    # the stop rule sees a finite loss and gradient at theta = (-inf, 0): only the epoch's
+    # own check ends the run, after the second of the epoch's three steps
+    with np.errstate(over="ignore"):  # the overflow to -inf is the point
+        traj = sgd_run(_FlatWithHugeBatches(), [0.0, 0.0],
+                       OptimizerConfig(eta=1.0, max_iter=5, batch_size=2))
+    assert traj.outcome == "diverged"
+    assert [s.iteration for s in traj.samples] == [0, 2]
+    assert traj.final_theta[0] == -math.inf
 
 
 def test_sgd_trace_leaves_expected_rp_empty_where_a_sample_step_overflows():
@@ -541,7 +569,7 @@ def test_the_accuracy_stop_rule_runs_no_forward_pass_of_its_own(
         # per epoch: one minibatch gradient and the epoch sample's evaluation
         evaluations = 1 + 2 * (len(traj.samples) - 1)
     assert traj.outcome == outcome
-    assert len(accuracies) == len(traj.samples) - (algorithm == "sgd")
+    assert len(accuracies) == len(traj.samples)
     assert len(forwards) == evaluations
     fresh = MLPCost(ds, hidden_sizes=(8,), activation="tanh")
     assert (accuracy(traj.final_theta) >= stop_accuracy) == (outcome == "converged")
