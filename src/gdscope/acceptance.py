@@ -201,7 +201,9 @@ def regime_signatures():
 
 def segment_sharpness_bound(cost, unstable: O.Trajectory, eta: float) -> CriterionResult:
     """(2/eta)(rp+1) <= max sharpness along the step segment, up to 1% of 2/eta, with rp
-    read from the run's cadence-5 samples."""
+    read from the run's cadence-5 samples. Rigorous on C² costs only (the mean-value
+    theorem along the segment), as on this tanh net; on a relu net, whose gradient jumps
+    where a pre-activation changes sign on the segment, the bound is empirical."""
     tol = 0.01 * (2 / eta)
     iterates = unstable.iterates
     rps = {s.iteration: s.rp for s in unstable.samples}

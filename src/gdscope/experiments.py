@@ -3,8 +3,8 @@
 A spec is an INI-style file with sections (experiment / cost / dataset /
 init / optimizer / metrics / output). Presets shipping with the package are
 just such files, so every canned experiment is diffable and versionable.
-Each output CSV embeds the fully resolved config and seed as '#' comment
-lines, making any trace reproducible from its own header.
+Each output CSV embeds the fully resolved config (and, for sgd, the seed) as
+'#' comment lines, making any trace reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import numpy as np
 
 from . import costs as C
 from . import data as D
+from . import metrics as M
 from . import mlp as NN
 from . import optimizer as O
 from .errors import ConfigError, ContractViolation, DatasetFormatError
 
-CSV_HEADER = "iter,loss,grad_norm,rp,dir,sharpness,identity_residual,tau_dir_mean,tau_dir_std"
+CSV_HEADER = ",".join(("iter", *M.METRIC_FIELDS))
 
 _SECTIONS = ("experiment", "cost", "dataset", "init", "optimizer", "metrics", "output")
 # keys only one algorithm reads: a spec for the other refuses them rather than ignore them
@@ -275,9 +276,10 @@ def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,
     ]
     lines += [f"# {item}" for item in spec.resolved]
     # resolved runtime settings, so the trace is reproducible even where the
-    # config file relied on defaults
+    # config file relied on defaults; a run that reads no seed records none
+    if _READ_ONLY_BY["seed"] == spec.algorithm:
+        lines.append(f"# resolved.optimizer.seed = {config.seed}")
     lines += [
-        f"# resolved.optimizer.seed = {config.seed}",
         f"# resolved.optimizer.max_iter = {config.max_iter}",
         "# resolved.metric_cadence = "
         + ("every epoch" if spec.algorithm == "sgd" else str(config.cadence_for(cost))),
@@ -287,11 +289,7 @@ def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,
         fh.write("\n".join(lines) + "\n")
         fh.write(CSV_HEADER + "\n")
         for s in samples:
-            fh.write(
-                f"{s.iteration},{_fmt(s.loss)},{_fmt(s.grad_norm)},{_fmt(s.rp)},"
-                f"{_fmt(s.dir)},{_fmt(s.sharpness)},{_fmt(s.identity_residual)},"
-                f"{_fmt(s.tau_dir_mean)},{_fmt(s.tau_dir_std)}\n"
-            )
+            fh.write(f"{s.iteration},{','.join(_fmt(getattr(s, f)) for f in M.METRIC_FIELDS)}\n")
 
 
 @dataclass
@@ -305,7 +303,7 @@ class RunSummary:
     final_loss: float
     iterations: int
     runtime_s: float
-    seed: int
+    seed: Optional[int]  # None for gd, which reads no seed
     csv_path: str
 
     def to_json(self) -> str:
@@ -354,7 +352,8 @@ def run_spec(spec: ExperimentSpec, outdir=".", eta: Optional[float] = None,
         name=spec.name, eta=the_eta, outcome=traj.outcome,
         label=_LABELS.get(traj.outcome, traj.outcome), regime=regime, regime_reason=reason,
         final_loss=traj.final_loss, iterations=traj.samples[-1].iteration,
-        runtime_s=round(runtime, 4), seed=config.seed, csv_path=str(csv_path),
+        runtime_s=round(runtime, 4), csv_path=str(csv_path),
+        seed=config.seed if _READ_ONLY_BY["seed"] == spec.algorithm else None,
     )
     with open(str(csv_path) + ".summary.json", "w") as fh:
         fh.write(summary.to_json() + "\n")

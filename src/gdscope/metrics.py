@@ -50,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -105,6 +105,7 @@ class QuadratureGrid:
 
 _ONE_NODE = QuadratureGrid.default(1)  # tau = 1 alone: dir at the full step
 _DEFAULT_GRID = QuadratureGrid.default()
+METRIC_FIELDS = tuple(f.name for f in fields(MetricSample))[1:]  # a trace's columns after iter
 
 
 class IdentityCheck(NamedTuple):

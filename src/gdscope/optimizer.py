@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -93,12 +93,11 @@ class SampleTable(Sequence):
     about 280. Indexing builds the MetricSample.
     """
 
-    _FIELDS = tuple(f.name for f in fields(M.MetricSample) if f.name != "iteration")
-    _cells = operator.attrgetter(*_FIELDS)
+    _cells = operator.attrgetter(*M.METRIC_FIELDS)
 
     def __init__(self, samples):
         cells = list(itertools.chain.from_iterable(map(self._cells, samples)))
-        shape = (len(samples), len(self._FIELDS))
+        shape = (len(samples), len(M.METRIC_FIELDS))
         self._iterations = np.array([s.iteration for s in samples], dtype=np.int64)
         self._defined = np.array([c is not None for c in cells], dtype=bool).reshape(shape)
         self._values = np.array([math.nan if c is None else c for c in cells],
@@ -210,11 +209,14 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
 
     def epoch(theta):
         order = np.arange(n) if batch >= n else rng.permutation(n)
-        for steps, start in enumerate(range(0, n, batch), 1):
-            idx = order[start : start + batch]
-            theta = theta - config.eta * cost.stochastic_gradient(theta, idx)
-            if not np.all(np.isfinite(theta)):
-                return theta, steps, True
+        # an overflow, in a minibatch gradient or a step, leaves a non-finite iterate, which
+        # ends the run diverged below; so it is taken unwarned
+        with np.errstate(over="ignore"):
+            for steps, start in enumerate(range(0, n, batch), 1):
+                idx = order[start : start + batch]
+                theta = theta - config.eta * cost.stochastic_gradient(theta, idx)
+                if not np.all(np.isfinite(theta)):
+                    return theta, steps, True
         return theta, steps, False
 
     return _run(cost, theta0, config, flags, 1, record_checkpoints, epoch, erp)
@@ -291,16 +293,18 @@ def escape_experiment(cost: CostFunction, p, perturb_scale: float, eta: float,
     max_norm = 0.0
     for trial in range(trials):
         d = rng.standard_normal(cost.dimension)
-        d *= perturb_scale / np.linalg.norm(d)
+        d *= perturb_scale / M._norm(d)
         theta = p + d
-        for _ in range(iters):
-            g = cost.gradient(theta)
-            nxt = theta - eta * g
-            if not np.all(np.isfinite(nxt)):
-                theta = None
-                break
-            theta = nxt
-            max_norm = max(max_norm, float(np.linalg.norm(theta)))
-        distances[trial] = math.inf if theta is None else float(np.linalg.norm(theta - p))
+        # a step that overflows ends the trial at infinite distance, so it is taken unwarned
+        with np.errstate(over="ignore"):
+            for _ in range(iters):
+                g = cost.gradient(theta)
+                nxt = theta - eta * g
+                if not np.all(np.isfinite(nxt)):
+                    theta = None
+                    break
+                theta = nxt
+                max_norm = max(max_norm, M._norm(theta))
+        distances[trial] = math.inf if theta is None else M._norm(theta - p)
     fraction = float(np.mean(distances > 10.0 * perturb_scale))
     return EscapeResult(fraction, max_norm, distances)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -33,6 +34,14 @@ path = unit-quad.csv
 """
 
 
+def _perfbench_csv_columns():
+    """perfbench's fixed ``CSV_COLUMNS`` list, read from its source without importing it."""
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", "") == "CSV_COLUMNS")
+
+
 @pytest.fixture
 def quad_cfg(tmp_path):
     path = tmp_path / "unit-quad.cfg"
@@ -47,7 +56,9 @@ def test_run_writes_schema_and_header(quad_cfg, tmp_path, capsys):
     comments = [l for l in out if l.startswith("#")]
     rows = [l for l in out if not l.startswith("#")]
     assert rows[0] == "iter,loss,grad_norm,rp,dir,sharpness,identity_residual,tau_dir_mean,tau_dir_std"
-    # resolved config and seed are embedded in the header
+    # the benchmark's preset-w200 check compares the header with its own copy of the columns
+    assert X.CSV_HEADER == rows[0] == ",".join(_perfbench_csv_columns())
+    # the resolved config is embedded in the header
     assert any("optimizer.eta = 2/41" in c for c in comments)
     assert any("cost.p_diag = 40, 2" in c for c in comments)
     # undefined metrics serialize as empty fields, never NaN text
@@ -57,7 +68,7 @@ def test_run_writes_schema_and_header(quad_cfg, tmp_path, capsys):
     assert "nan" not in out[-1].lower()
     summary = json.loads((tmp_path / "unit-quad.csv.summary.json").read_text())
     assert summary["outcome"] == "converged"
-    assert "seed" in summary and "runtime_s" in summary
+    assert summary["seed"] is None and "runtime_s" in summary  # gd reads no seed
 
 
 def test_run_unknown_preset_is_usage_error(tmp_path, capsys):
@@ -245,8 +256,14 @@ def test_corrupt_quadrature_flag_reaches_criteria(monkeypatch, capsys):
 def test_resolved_seed_embedded_in_header(quad_cfg, tmp_path):
     cli.main(["run", str(quad_cfg), "--outdir", str(tmp_path)])
     header = (tmp_path / "unit-quad.csv").read_text()
-    assert "# resolved.optimizer.seed = 0" in header
+    assert "optimizer.seed" not in header  # gd reads no seed, so its trace records none
     assert "# resolved.metric_cadence = 1" in header
+    sgd_cfg = tmp_path / "unit-sgd.cfg"
+    sgd = MLP_CFG.replace("max_iter = 2", "max_iter = 2\nalgorithm = sgd\nbatch_size = 4")
+    sgd_cfg.write_text(sgd + "\n[output]\npath = unit-sgd.csv\n")
+    assert cli.main(["run", str(sgd_cfg), "--outdir", str(tmp_path)]) == 0
+    assert "# resolved.optimizer.seed = 0" in (tmp_path / "unit-sgd.csv").read_text()
+    assert json.loads((tmp_path / "unit-sgd.csv.summary.json").read_text())["seed"] == 0
 
 
 def test_fd_surrogate_sharpness_flagged_in_header(tmp_path):

@@ -279,6 +279,16 @@ def test_escape_flattened_quadratic_bounded():
     assert np.all(np.isfinite(res.final_distances))  # escaped without blowing up
 
 
+def test_escape_that_overflows_counts_as_escaped_at_infinite_distance():
+    # eta*40 = 8: each trial grows 7x a step until its iterate overflows, which ends the
+    # trial without a RuntimeWarning (an error in this suite)
+    res = escape_experiment(Quadratic(np.diag([40.0, 2.0])), [0.0, 0.0], perturb_scale=1e-4,
+                            eta=0.2, iters=600, trials=5, seed=3)
+    assert res.fraction == 1.0
+    assert res.max_iterate_norm == math.inf
+    assert res.final_distances.tolist() == [math.inf] * 5
+
+
 def test_sgd_records_sharpness_identity_and_tau_sweep():
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
@@ -352,10 +362,10 @@ class _FlatWithHugeBatches(CostFunction):
 
 def test_a_non_finite_sgd_iterate_ends_the_run_diverged():
     # the stop rule sees a finite loss and gradient at theta = (-inf, 0): only the epoch's
-    # own check ends the run, after the second of the epoch's three steps
-    with np.errstate(over="ignore"):  # the overflow to -inf is the point
-        traj = sgd_run(_FlatWithHugeBatches(), [0.0, 0.0],
-                       OptimizerConfig(eta=1.0, max_iter=5, batch_size=2))
+    # own check ends the run, after the second of the epoch's three steps; the overflow to
+    # -inf is taken without a RuntimeWarning, which this suite turns into an error
+    traj = sgd_run(_FlatWithHugeBatches(), [0.0, 0.0],
+                   OptimizerConfig(eta=1.0, max_iter=5, batch_size=2))
     assert traj.outcome == "diverged"
     assert [s.iteration for s in traj.samples] == [0, 2]
     assert traj.final_theta[0] == -math.inf
