@@ -16,6 +16,7 @@ MLP evaluates the stack in one pass.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,6 +34,13 @@ def as_params(theta, dimension=None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ContractViolation("parameter vector contains NaN/Inf")
     return arr
+
+
+def as_rng(seed) -> np.random.Generator:
+    """The generator of a seed: an integer in [0, 2**64), numpy integers included."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+        raise ContractViolation(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.random.default_rng(np.uint64(seed))
 
 
 def as_finite(x, name: str) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .costs import as_rng
 from .errors import ContractViolation, DatasetFormatError
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3072 pixel bytes
@@ -88,7 +89,7 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
 
     Per-class counts differ by at most one; examples are ordered by class.
     """
-    rng = np.random.default_rng(np.uint64(spec.seed))
+    rng = as_rng(spec.seed)
     centers = rng.standard_normal((spec.classes, spec.d))
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

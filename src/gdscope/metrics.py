@@ -32,14 +32,18 @@ g_b leaves the LHS defined and the RHS undefined.
 The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
 twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
 ``expected_rp_rhs`` its directional-smoothness form. Both are views of one
-paired draw, which evaluates theta once, takes all minibatch gradients g_b in
-one stacked ``stochastic_gradients`` call and makes one
-``value_and_gradient`` at each theta - eta*g_b. Whichever view is called
-first parks the other's result in a one-entry memo, which a later call of the
-other view with an equal key (the same cost and sampler objects, theta's
-bytes, eta, batch_size, num_batches, seed and, for the RHS, the grid) takes
-and clears. The memo holds weak references only, and assumes that a cost
-(and a sampler) is not mutated between the two calls of a pair.
+paired draw, which evaluates theta once, draws every minibatch first, takes
+their gradients g_b in stacked ``stochastic_gradients`` calls of n // b
+batches (one backward pass) and makes one ``value_and_gradient`` at each
+theta - eta*g_b of a call before the next call, so at most min(k, n // b)
+g_b are alive at once; a non-finite sample step is refused before its own
+call's points are evaluated. A ``grad_sampler``'s k samples come as one
+stack. Whichever view is called first parks the other's result in a
+one-entry memo, which a later call of the other view with an equal key (the
+same cost and sampler objects, theta's bytes, eta, batch_size, num_batches,
+seed and, for the RHS, the grid) takes and clears. The memo holds weak
+references only, and assumes that a cost (and a sampler) is not mutated
+between the two calls of a pair.
 
 All functions are pure given (cost, theta, parameters, seed); sweeps reduce
 in a fixed order so repeated calls are bit-identical.
@@ -55,7 +59,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costs import CostFunction, as_params
+from .costs import CostFunction, as_params, as_rng
 from .errors import ContractViolation, NearStationaryError, PowerIterationError, ZeroDirectionError
 
 GRAD_FLOOR_COEFF = 1e-12
@@ -321,12 +325,12 @@ def sharpness(cost: CostFunction, theta, tol: float = 1e-6,
     held fixed (sigma'' = 0, and sigma' = 0 at a kink as in the gradient),
     which is the Hessian wherever no pre-activation is exactly zero.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ContractViolation(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
+    if not 0 < tol < math.inf or max_iter < 1:
+        raise ContractViolation(f"need 0 < tol < inf and max_iter >= 1, got {tol}, {max_iter}")
     theta = as_params(theta, cost.dimension)
     dim = cost.dimension
     steps = min(max_iter, dim)
-    v = np.random.default_rng(np.uint64(seed)).standard_normal(dim)
+    v = as_rng(seed).standard_normal(dim)
     v /= np.linalg.norm(v)
     if start is not None:
         start = as_params(start, dim)
@@ -397,14 +401,17 @@ def segment_max_sharpness(cost: CostFunction, theta, eta: float, samples: int = 
 
 
 def _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
-    """Gradient samples: minibatches drawn uniformly with replacement, so the
-    sample mean is exactly unbiased for the full gradient. batch_size >= n
-    degenerates to the deterministic full batch. Every batch is drawn first,
-    then all k gradients come from one ``stochastic_gradients`` call, as (k, dim)
-    rows. A grad_sampler(rng) callable replaces minibatch sampling entirely
-    (synthetic-noise studies); its samples come one call each, as a list."""
+    """Gradient samples, yielded in chunks: minibatches drawn uniformly with
+    replacement, so the sample mean is exactly unbiased for the full gradient.
+    batch_size >= n degenerates to the deterministic full batch. Every batch is
+    drawn first; their gradients then come from stacked ``stochastic_gradients``
+    calls of n // b batches (one backward pass), as (m, dim) rows, each call made
+    when the previous chunk has been consumed. A grad_sampler(rng) callable
+    replaces minibatch sampling entirely (synthetic-noise studies); its samples
+    come one call each, as one list."""
     if grad_sampler is not None:
-        return [as_params(grad_sampler(rng), cost.dimension) for _ in range(num_batches)]
+        yield [as_params(grad_sampler(rng), cost.dimension) for _ in range(num_batches)]
+        return
     n = cost.num_examples
     if n is None:
         raise ContractViolation(
@@ -417,7 +424,9 @@ def _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
     else:
         # one draw per batch: a single (k, b) draw splits the rng stream differently
         batches = np.stack([rng.integers(0, n, size=batch_size) for _ in range(num_batches)])
-    return cost.stochastic_gradients(theta, batches)
+    chunk = max(1, n // batches.shape[1])
+    for j in range(0, num_batches, chunk):
+        yield cost.stochastic_gradients(theta, batches[j : j + chunk])
 
 
 def _mean_and_stderr(samples):
@@ -433,43 +442,49 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
     """Both expected-rp estimates from one draw: (lhs, rhs), each (estimate, stderr).
 
     Takes theta's loss, gradient g and ||g|| from the caller, at a measurable
-    step; draws the gradient samples g_b once (in the rng order of
-    ``_batch_gradients``) and makes one ``value_and_gradient`` at each
+    step; draws the gradient samples g_b once, chunk by chunk (in the rng order
+    of ``_batch_gradients``), and makes one ``value_and_gradient`` at each
     theta - eta*g_b: its value is the LHS sample and its gradient serves the
     RHS node tau = 1; any other node of ``taus`` is evaluated by ``gradient``.
-    The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
-    ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
-    ``lhs_only``, which skips the RHS: each point then costs one ``value``.
-    Raises ``ZeroDirectionError`` when some ||g_b||^2 or ||eta*g_b||^2 is not finite.
+    A chunk's points are evaluated, and the chunk dropped, before the next is
+    taken, so at most min(k, n // b) g_b are held. The tau sweeps are kept as
+    (k, len(taus)) rows and integrated in one call. ``rhs`` is None when some
+    g_b is zero, so that dir is undefined, and with ``lhs_only``, which skips
+    the RHS: each point then costs one ``value``. Raises ``ZeroDirectionError``
+    when some ||g_b||^2 or ||eta*g_b||^2 is not finite, before any point of its
+    chunk is evaluated.
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
-    rng = np.random.default_rng(np.uint64(seed))
-    grads = _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler)
-    with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below, unwarned
-        step_sqs = (eta * np.sqrt(np.einsum("ij,ij->i", grads, grads))) ** 2
-    if not np.all(step_sqs < math.inf):
-        raise ZeroDirectionError("a sample step's norm is not finite: expected rp undefined")
+    rng = as_rng(seed)
     scale = eta * gnorm**2
     fused = taus[-1] == 1.0
     lhs = np.empty(num_batches)
     sq_norms = np.empty(num_batches)
     dirs = None if lhs_only else np.empty((num_batches, taus.shape[0]))
-    for i, gb in enumerate(grads):
-        point = theta - eta * gb
-        if dirs is None or not fused:
-            value, g_end = cost.value(point), None
-        else:
-            value, g_end = cost.value_and_gradient(point)
-        lhs[i] = (value - loss) / scale
-        if dirs is None:
-            continue
-        try:
-            dirs[i] = _dir_along(cost, theta, g, gb, eta, taus, g_end)
-        except ZeroDirectionError:
-            dirs = None
-            continue
-        sq_norms[i] = float(gb @ gb)
+    start = 0
+    for grads in _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, refused here, unwarned
+            step_sqs = (eta * np.sqrt(np.einsum("ij,ij->i", grads, grads))) ** 2
+        if not np.all(step_sqs < math.inf):
+            raise ZeroDirectionError("a sample step's norm is not finite: expected rp undefined")
+        for i, gb in enumerate(grads, start):
+            point = theta - eta * gb
+            if dirs is None or not fused:
+                value, g_end = cost.value(point), None
+            else:
+                value, g_end = cost.value_and_gradient(point)
+            lhs[i] = (value - loss) / scale
+            if dirs is None:
+                continue
+            try:
+                dirs[i] = _dir_along(cost, theta, g, gb, eta, taus, g_end)
+            except ZeroDirectionError:
+                dirs = None
+                continue
+            sq_norms[i] = float(gb @ gb)
+        start += len(grads)
+        del grads, gb  # so that the next chunk is not taken while this one is alive
     if dirs is None:
         return _mean_and_stderr(lhs), None
     est, err = _mean_and_stderr(sq_norms / gnorm**2 * _weighted_integral(taus, dirs))

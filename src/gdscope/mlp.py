@@ -68,7 +68,7 @@ import math
 
 import numpy as np
 
-from .costs import CostFunction, _finite_or_inf, as_batches
+from .costs import CostFunction, _finite_or_inf, as_batches, as_rng
 from .data import Dataset
 from .errors import ContractViolation
 
@@ -168,7 +168,7 @@ class MLPCost(CostFunction):
 
     def init_params(self, seed) -> np.ndarray:
         """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
-        rng = np.random.default_rng(np.uint64(seed))
+        rng = as_rng(seed)
         parts = []
         for out, inp in self._shapes:
             bound = 1.0 / math.sqrt(inp)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as M
-from .costs import CostFunction, as_params
+from .costs import CostFunction, as_params, as_rng
 from .errors import ContractViolation
 
 OUTCOME_CONVERGED = "converged"
@@ -288,7 +288,7 @@ def escape_experiment(cost: CostFunction, p, perturb_scale: float, eta: float,
     if not (perturb_scale > 0 and iters >= 1 and trials >= 1):
         raise ContractViolation("need perturb_scale > 0, iters >= 1 and trials >= 1")
     p = as_params(p, cost.dimension)
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = as_rng(seed)
     distances = np.empty(trials)
     max_norm = 0.0
     for trial in range(trials):

@@ -7,12 +7,20 @@ import pytest
 from gdscope import (
     ContractViolation,
     CostFunction,
+    MLPCost,
     Quadratic,
     SingleNeuron,
+    SynthSpec,
     TanhQuadratic,
     WeightDecayWrapped,
+    escape_experiment,
+    expected_rp,
+    expected_rp_rhs,
+    segment_max_sharpness,
     sharpness,
+    synth_dataset,
 )
+from gdscope.costs import as_rng
 from gdscope.theory import jacobi_spectrum
 
 EPS = float(np.finfo(np.float64).eps)
@@ -343,3 +351,44 @@ def test_a_cost_without_an_hvp_has_no_sharpness():
         sharpness(cost, [1.0, 2.0])
     with pytest.raises(ContractViolation):  # the arguments are checked first
         cost.hvp([1.0, 2.0], [0.0, 0.0])
+
+
+_SEEDED_COST = Quadratic(np.diag([4.0, 1.0]))
+_NOISE = lambda rng: rng.standard_normal(2)  # noqa: E731
+_SEEDED_NET = MLPCost(synth_dataset(SynthSpec(n=6, d=2)), hidden_sizes=(3,))
+
+# every entry point that builds a generator from a caller's seed
+SEEDED_ENTRY_POINTS = {
+    "sharpness": lambda seed: sharpness(_SEEDED_COST, [1.0, 1.0], seed=seed),
+    "segment_max_sharpness": lambda seed: segment_max_sharpness(
+        _SEEDED_COST, [1.0, 1.0], 0.1, samples=2, seed=seed),
+    "expected_rp": lambda seed: expected_rp(
+        _SEEDED_COST, [1.0, 1.0], 0.1, 1, 4, seed, grad_sampler=_NOISE),
+    "expected_rp_rhs": lambda seed: expected_rp_rhs(
+        _SEEDED_COST, [1.0, 1.0], 0.1, 1, 4, seed, grad_sampler=_NOISE),
+    "escape_experiment": lambda seed: escape_experiment(
+        _SEEDED_COST, [0.0, 0.0], 1e-3, 0.1, 3, 2, seed),
+    "init_params": lambda seed: _SEEDED_NET.init_params(seed),
+    "synth_dataset": lambda seed: synth_dataset(SynthSpec(n=4, d=2, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_a_seed_outside_the_uint64_integers_is_a_contract_violation(entry, seed):
+    # numpy raised OverflowError for -1 and 2**64, and read 1.5 as seed 1
+    with pytest.raises(ContractViolation):
+        SEEDED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_every_seeded_entry_point_takes_the_largest_seed(entry):
+    SEEDED_ENTRY_POINTS[entry](np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**63, 2**64 - 1])
+def test_an_integer_seed_of_any_type_gives_the_same_stream(seed):
+    want = np.random.default_rng(np.uint64(seed)).standard_normal(5)
+    types = [int, np.uint64] + ([np.int64] if seed < 2**63 else [])
+    for as_type in types:
+        assert np.array_equal(as_rng(as_type(seed)).standard_normal(5), want), as_type

@@ -351,6 +351,18 @@ def test_sharpness_rejects_bad_tol_and_budget():
             sharpness(cost, [1.0, 1.0], **kwargs)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_sharpness_refuses_a_tolerance_that_is_not_finite(tol):
+    # tol = inf "certified" 22.9 after 2 hvps, with residual 19.6 (the top eigenvalue is
+    # 99.0); tol = nan ran every step, then raised PowerIterationError
+    A = np.random.default_rng(8).standard_normal((30, 30))
+    cost = Quadratic(A @ A.T)
+    with pytest.raises(ContractViolation):
+        sharpness(cost, np.zeros(30), tol=tol)
+    with pytest.raises(ContractViolation):
+        segment_max_sharpness(cost, np.ones(30), 0.001, tol=tol)
+
+
 class SkewHvp(CostFunction):
     """A stub whose hvp is linear but not symmetric: no Hessian has this action."""
 
@@ -669,18 +681,25 @@ class CountingCost(CostFunction):
         return self.inner.stochastic_gradient(theta, batch)
 
 
-def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0,)):
-    """The two estimators as separate scalar loops: the oracle for the paired draw."""
+def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0,),
+                 lhs_only=False):
+    """The two estimators as separate scalar loops: the oracle for the paired draw.
+    With ``lhs_only`` the RHS is not computed and comes back as None."""
     loss, g = cost.value(theta), cost.gradient(theta)
     gnorm = float(np.linalg.norm(g))
     rng = np.random.default_rng(np.uint64(seed))
+    n = cost.num_examples
     lhs, weights = [], []
     for _ in range(batches):
-        if sampler is None:
-            gb = cost.stochastic_gradient(theta, rng.integers(0, cost.num_examples, size=batch))
-        else:
+        if sampler is not None:
             gb = sampler(rng)
+        elif batch >= n:
+            gb = cost.stochastic_gradient(theta, np.arange(n))
+        else:
+            gb = cost.stochastic_gradient(theta, rng.integers(0, n, size=batch))
         lhs.append((cost.value(theta - eta * gb) - loss) / (eta * gnorm**2))
+        if lhs_only:
+            continue
         dirs = np.array([directional_smoothness(cost, theta, (eta * tau) * gb) for tau in taus])
         integral = (dirs[0] if tuple(taus) == (1.0,)
                     else metrics._weighted_integral(np.asarray(taus), dirs))
@@ -689,6 +708,8 @@ def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0
     def mean_and_stderr(xs):
         return float(np.mean(xs)), float(np.std(xs, ddof=1) / math.sqrt(batches))
 
+    if lhs_only:
+        return mean_and_stderr(lhs), None
     (lhs_est, lhs_err), (w_est, w_err) = mean_and_stderr(lhs), mean_and_stderr(weights)
     return (lhs_est, lhs_err), (-1.0 + 0.5 * eta * w_est, 0.5 * eta * w_err)
 
@@ -747,19 +768,137 @@ def test_expected_rp_views_match_the_scalar_loops_on_every_net(kw):
     assert expected_rp_rhs(*args, grid=QuadratureGrid(np.array(taus))) == want
 
 
-def test_a_network_pair_takes_its_minibatch_gradients_in_one_stacked_call(sgd_net):
+def _counting_stacks(cost):
+    """Count ``cost``'s minibatch gradient calls: {"stochastic_gradient": calls,
+    "stochastic_gradients": [the number of batches in each stacked call]}."""
+    calls = {"stochastic_gradient": 0, "stochastic_gradients": []}
+    single, stacked = cost.stochastic_gradient, cost.stochastic_gradients
+
+    def counted_single(theta, batch):
+        calls["stochastic_gradient"] += 1
+        return single(theta, batch)
+
+    def counted_stacked(theta, batches):
+        calls["stochastic_gradients"].append(len(batches))
+        return stacked(theta, batches)
+
+    cost.stochastic_gradient, cost.stochastic_gradients = counted_single, counted_stacked
+    return calls
+
+
+def test_a_network_pair_takes_its_minibatch_gradients_one_backward_pass_at_a_time(sgd_net):
+    # n = 64 and b = 16: each stacked call is one backward pass of n // b = 4 batches
     net, theta = sgd_net
     cost = MLPCost(net.dataset, hidden_sizes=(8,), activation="tanh")
-    calls = {"stochastic_gradient": 0, "stochastic_gradients": 0}
-    for name in calls:
-        def counted(*args, _name=name, _method=getattr(cost, name)):
-            calls[_name] += 1
-            return _method(*args)
-        setattr(cost, name, counted)
+    calls = _counting_stacks(cost)
     lhs = expected_rp(cost, theta, 0.3, 16, 160, seed=4)
     rhs = expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4)
-    assert calls == {"stochastic_gradient": 0, "stochastic_gradients": 1}
+    assert calls == {"stochastic_gradient": 0, "stochastic_gradients": [4] * 40}
     assert (lhs, rhs) == _scalar_pair(net, theta, 0.3, 16, 160, 4)
+
+
+@pytest.mark.parametrize("batch, batches, chunks", [
+    (16, 10, [4, 4, 2]),  # k not a multiple of n // b
+    (16, 3, [3]),  # k < n // b
+    (20, 7, [3, 3, 1]),  # b does not divide n
+    (64, 3, [1, 1, 1]),  # b = n: each chunk is one full batch
+    (100, 2, [1, 1]),  # b > n: the full batch too
+])
+def test_the_chunked_draw_matches_the_scalar_loops(sgd_net, batch, batches, chunks):
+    net, theta = sgd_net
+    cost = MLPCost(net.dataset, hidden_sizes=(8,), activation="tanh")
+    calls = _counting_stacks(cost)
+    args = (theta, 0.3, batch, batches, 9)
+    lhs = expected_rp(cost, *args)
+    rhs = expected_rp_rhs(cost, *args)
+    assert calls == {"stochastic_gradient": 0, "stochastic_gradients": chunks}
+    assert (lhs, rhs) == _scalar_pair(net, *args)
+    taus = (0.25, 0.5, 1.0)
+    _, want = _scalar_pair(net, *args, taus=taus)
+    assert expected_rp_rhs(cost, *args, grid=QuadratureGrid(np.array(taus))) == want
+
+
+class ScaledBatches(CostFunction):
+    """A dataset-backed quadratic whose minibatch gradient is the full gradient
+    times the mean of the batch's per-example ``weights``."""
+
+    kind = "scaled-batches"
+
+    def __init__(self, weights):
+        self.inner = Quadratic(np.diag([4.0, 1.0]))
+        self.dimension = 2
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.calls = dict.fromkeys(("value", "value_and_gradient"), 0)
+
+    @property
+    def num_examples(self):
+        return self.weights.shape[0]
+
+    def value(self, theta):
+        self.calls["value"] += 1
+        return self.inner.value(theta)
+
+    def gradient(self, theta):
+        return self.inner.gradient(theta)
+
+    def value_and_gradient(self, theta):
+        self.calls["value_and_gradient"] += 1
+        return self.inner.value_and_gradient(theta)
+
+    def stochastic_gradient(self, theta, batch):
+        return self.gradient(theta) * float(np.mean(self.weights[batch]))
+
+
+# n = 4 examples in batches of 1: chunks of 4 batches, 12 batches in 3 chunks
+SCALED_ARGS = ([0.5, -1.0], 0.1, 1, 12)
+
+
+def _seed_first_drawing_in_the_last_chunk(example):
+    """A seed whose 12 single-row batches draw ``example``, and only in the last 4."""
+    for seed in range(100):
+        rng = np.random.default_rng(np.uint64(seed))
+        drawn = [int(rng.integers(0, 4, size=1)[0]) for _ in range(12)]
+        if example in drawn and drawn.index(example) >= 8:
+            return seed
+
+
+def test_a_zero_gradient_sample_in_a_later_chunk_leaves_the_lhs_and_fails_the_rhs():
+    seed = _seed_first_drawing_in_the_last_chunk(3)
+    cost = ScaledBatches([1.0, 2.0, 0.5, 0.0])  # example 3's minibatch gradient is zero
+    want, _ = _scalar_pair(cost, *SCALED_ARGS, seed, lhs_only=True)
+    for rhs_first in (False, True):
+        if rhs_first:
+            with pytest.raises(ZeroDirectionError):
+                expected_rp_rhs(cost, *SCALED_ARGS, seed)
+        assert expected_rp(cost, *SCALED_ARGS, seed) == want
+        if not rhs_first:
+            with pytest.raises(ZeroDirectionError):
+                expected_rp_rhs(cost, *SCALED_ARGS, seed)
+
+
+def test_a_sample_step_that_overflows_in_the_last_chunk_fails_both_views_unwarned():
+    # the suite turns numpy's RuntimeWarnings into errors, so an unguarded overflow would fail
+    seed = _seed_first_drawing_in_the_last_chunk(3)
+    cost = ScaledBatches([1.0, 2.0, 0.5, 1e200])  # ||0.1 * g * 1e200||^2 overflows
+    for view in (expected_rp, expected_rp_rhs, expected_rp):  # both orders of the pair
+        before = dict(cost.calls)
+        with pytest.raises(ZeroDirectionError):
+            view(cost, *SCALED_ARGS, seed)
+        # theta and the first two chunks' 8 points were evaluated, the last chunk's none
+        evaluated = sum(cost.calls.values()) - sum(before.values())
+        assert evaluated == 1 + 8
+
+
+def test_a_network_pair_holds_one_backward_pass_of_minibatch_gradients(traced_peak):
+    # sgd-erp's net: n = 512 and b = 32, so 16 of the k = 160 gradients are held at once
+    ds = synth_dataset(SynthSpec(n=512, d=8, classes=4, cluster_spread=0.9, seed=11))
+    net = MLPCost(ds, hidden_sizes=(32, 32), activation="relu")
+    theta = net.init_params(7)
+    args = (net, theta, 0.2, 32, 160)
+    expected_rp(*args, seed=1)  # the network's workspace is allocated on first use
+    stack = 160 * net.dimension * 8
+    peak = traced_peak(lambda: expected_rp(*args, seed=2))
+    assert peak < stack / 2, (peak, stack)
 
 
 def test_a_checkpoint_pair_draws_and_evaluates_once(sgd_net):
