@@ -4,9 +4,7 @@ Each criterion exercises a pinned, seeded configuration and checks a stated
 tolerance; one with a shipped preset builds its run from that preset, which
 ``gdscope run <preset>`` replays. ``check_all`` runs them in order and returns
 one result per criterion; the CLI ``check`` subcommand prints a
-machine-readable line for each. The hidden corrupt_quadrature switch injects a
-broken quadrature rule (the tau -> 0 node is dropped) to prove the identity
-criterion actually bites.
+machine-readable line for each.
 """
 
 from __future__ import annotations
@@ -103,23 +101,20 @@ def _identity_pool(rng):
     return pool
 
 
-def rp_dir_identity(corrupt_quadrature: bool = False) -> CriterionResult:
+def rp_dir_identity() -> CriterionResult:
     """rp equals -1 + (eta/2) * weighted dir integral across 100 random triples."""
     rng = np.random.default_rng(20240)
-    include_zero = not corrupt_quadrature
     worst_quad = 0.0
     worst_other = 0.0
     refinement_ok = True
     for cost, theta, eta, is_quad in _identity_pool(rng):
-        res = M.verify_identity(cost, theta, eta, include_zero_node=include_zero).residual
+        res = M.verify_identity(cost, theta, eta).residual
         if is_quad:
             worst_quad = max(worst_quad, res)
         else:
             worst_other = max(worst_other, res)
-            res50 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(50),
-                                      include_zero_node=include_zero).residual
-            res200 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(200),
-                                       include_zero_node=include_zero).residual
+            res50 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(50)).residual
+            res200 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(200)).residual
             refinement_ok &= res200 <= res50 + 1e-12
     ok = worst_quad <= 1e-10 and worst_other <= 1e-3 and refinement_ok
     measured = (f"max_residual quadratic={worst_quad:.2e} other={worst_other:.2e} "
@@ -326,19 +321,19 @@ def escape_experiment_criterion() -> CriterionResult:
                    "fraction 1.0 bounded at eta=2/39; fraction 0.0 at eta=2/41", ok)
 
 
-def check_all(corrupt_quadrature: bool = False) -> List[CriterionResult]:
+def check_all() -> List[CriterionResult]:
     results: List[CriterionResult] = []
 
-    def run(fn, *args, **kwargs):
+    def run(fn, *args):
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
+        out = fn(*args)
         result = out[0] if isinstance(out, tuple) else out
         result.runtime_s = round(time.perf_counter() - t0, 3)
         results.append(result)
         return out
 
     run(quadratic_stability_boundary)
-    run(rp_dir_identity, corrupt_quadrature=corrupt_quadrature)
+    run(rp_dir_identity)
     run(edge_oscillation)
     run(flattened_quadratic_bounded)
     run(single_neuron_dichotomy)

@@ -61,7 +61,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     from . import acceptance
 
-    results = acceptance.check_all(corrupt_quadrature=args.corrupt_quadrature)
+    results = acceptance.check_all()
     failures = 0
     for r in results:
         print(r.report_line())
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="run every acceptance criterion")
-    p_check.add_argument("--corrupt-quadrature", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(fn=_cmd_check)
 
     p_list = sub.add_parser("list-presets", help="list the canned experiment specs")

@@ -66,6 +66,12 @@ def _parse_list(text: str, where: str, parse=parse_number) -> list:
     return [parse(t, where=where) for t in items]
 
 
+def _refuse_unknown(where: str, left: dict) -> None:
+    """A key nothing read is refused, never ignored: ``left`` holds a section's unread keys."""
+    if left:
+        raise ConfigError(f"{where}: unknown keys {sorted(left)}")
+
+
 def _checked(where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with a ContractViolation or DatasetFormatError reported
     as a ConfigError on ``where``."""
@@ -126,9 +132,10 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
             raise ConfigError(f"unknown config section [{sec}]")
 
     exp = _section(cp, "experiment")
-    name = exp.get("name", "").strip()
+    name = exp.pop("name", "").strip()
     if not name:
         raise ConfigError("experiment.name: required and nonempty")
+    _refuse_unknown("experiment", exp)
 
     cost = _section(cp, "cost")
     if "kind" not in cost:
@@ -152,8 +159,7 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     if "stop_accuracy" in opt:
         opt_kwargs["stop_accuracy"] = parse_number(opt.pop("stop_accuracy"),
                                                    where="optimizer.stop_accuracy")
-    if opt:
-        raise ConfigError(f"optimizer: unknown keys {sorted(opt)}")
+    _refuse_unknown("optimizer", opt)
     if algorithm == "sgd" and "batch_size" not in opt_kwargs:
         raise ConfigError("optimizer.batch_size: required for sgd")
 
@@ -165,8 +171,7 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     if "expected_rp_batches" in met:
         flag_kwargs["expected_rp_batches"] = parse_int(
             met.pop("expected_rp_batches"), where="metrics.expected_rp_batches", minimum=1)
-    if met:
-        raise ConfigError(f"metrics: unknown keys {sorted(met)}")
+    _refuse_unknown("metrics", met)
     for where, keys in (("optimizer", opt_kwargs), ("metrics", flag_kwargs)):
         for key in keys:
             if _READ_ONLY_BY.get(key, algorithm) != algorithm:
@@ -175,7 +180,8 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     flags = O.MetricFlags(**flag_kwargs)
 
     out = _section(cp, "output")
-    output_path = out.get("path", f"{name}.csv")
+    output_path = out.pop("path", f"{name}.csv")
+    _refuse_unknown("output", out)
 
     resolved = []
     for sec in cp.sections():
@@ -189,22 +195,25 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
     )
 
 
-def _build_dataset(spec: ExperimentSpec) -> D.Dataset:
-    sec = dict(spec.dataset)
-    source = sec.get("source", "synthetic").strip().lower()
+def _build_dataset(sec: dict) -> D.Dataset:
+    """The data of an mlp's [dataset] section; ``sec`` loses every key its source reads,
+    and a key that source does not read is refused."""
+    source = sec.pop("source", "synthetic").strip().lower()
     if source == "synthetic":
         synth = _checked(
             "dataset", D.SynthSpec,
-            n=parse_int(sec.get("n", "512"), where="dataset.n"),
-            d=parse_int(sec.get("d", "16"), where="dataset.d"),
-            classes=parse_int(sec.get("classes", "4"), where="dataset.classes"),
-            cluster_spread=parse_number(sec.get("spread", "0.35"), where="dataset.spread"),
-            seed=parse_int(sec.get("seed", "0"), where="dataset.seed", minimum=0),
+            n=parse_int(sec.pop("n", "512"), where="dataset.n"),
+            d=parse_int(sec.pop("d", "16"), where="dataset.d"),
+            classes=parse_int(sec.pop("classes", "4"), where="dataset.classes"),
+            cluster_spread=parse_number(sec.pop("spread", "0.35"), where="dataset.spread"),
+            seed=parse_int(sec.pop("seed", "0"), where="dataset.seed", minimum=0),
         )
-        return D.synth_dataset(synth)
+        _refuse_unknown("dataset", sec)
+        return _checked("dataset.seed", D.synth_dataset, synth)
     if source == "cifar10":
-        n_take = parse_int(sec.get("n_take", "5000"), where="dataset.n_take", minimum=1)
-        path = sec.get("path", "").strip()
+        n_take = parse_int(sec.pop("n_take", "5000"), where="dataset.n_take", minimum=1)
+        path = sec.pop("path", "").strip()
+        _refuse_unknown("dataset", sec)
         if not path:
             raise ConfigError("dataset.path: required for source=cifar10")
         if not Path(path).exists():
@@ -214,8 +223,9 @@ def _build_dataset(spec: ExperimentSpec) -> D.Dataset:
 
 
 def build_cost(spec: ExperimentSpec):
-    """Instantiate (cost, theta0) from the spec's cost/dataset/init sections."""
-    sec = dict(spec.cost)
+    """Instantiate (cost, theta0) from the spec's cost/dataset/init sections; a key that
+    none of them reads, such as a [dataset] key of a closed-form cost, is refused."""
+    sec, dataset, init = dict(spec.cost), dict(spec.dataset), dict(spec.init)
     kind = sec.pop("kind").strip().lower()
     gamma = parse_number(sec.pop("weight_decay", "0"), where="cost.weight_decay")
 
@@ -232,32 +242,33 @@ def build_cost(spec: ExperimentSpec):
     elif kind in ("single_neuron_linear", "single_neuron_tanh"):
         cost = C.SingleNeuron(kind.rsplit("_", 1)[-1])
     elif kind == "mlp":
-        dataset = _build_dataset(spec)
+        data = _build_dataset(dataset)
         hidden = _parse_list(sec.pop("hidden", "32, 32"), "cost.hidden",
                              lambda t, where: parse_int(t, where=where, minimum=1))
         cost = _checked(
-            "cost", NN.MLPCost, dataset,
+            "cost", NN.MLPCost, data,
             hidden_sizes=hidden,
             activation=sec.pop("activation", "tanh").strip().lower(),
             normalize_first=_parse_bool(sec.pop("normalize_first", "false"), "cost.normalize_first"),
         )
     else:
         raise ConfigError(f"cost.kind: unknown kind {kind!r}")
-    if sec:
-        raise ConfigError(f"cost: unknown keys {sorted(sec)}")
+    _refuse_unknown("cost", sec)
+    _refuse_unknown("dataset", dataset)
 
     if gamma != 0:
         cost = _checked("cost.weight_decay", C.WeightDecayWrapped, cost, gamma)
 
-    init = dict(spec.init)
     if "theta0" in init:
         theta0 = _checked("init.theta0", C.as_params,
-                          _parse_list(init["theta0"], "init.theta0"), cost.dimension)
+                          _parse_list(init.pop("theta0"), "init.theta0"), cost.dimension)
     elif kind == "mlp":
         inner = cost.inner if isinstance(cost, C.WeightDecayWrapped) else cost
-        theta0 = inner.init_params(parse_int(init.get("seed", "0"), where="init.seed", minimum=0))
+        theta0 = _checked("init.seed", inner.init_params,
+                          parse_int(init.pop("seed", "0"), where="init.seed", minimum=0))
     else:
         raise ConfigError("init.theta0: required for closed-form costs")
+    _refuse_unknown("init", init)  # a seed beside theta0 draws nothing
     return cost, theta0
 
 
@@ -283,8 +294,9 @@ def write_trace_csv(path, spec: ExperimentSpec, eta: float, cost, samples,
         f"# resolved.optimizer.max_iter = {config.max_iter}",
         "# resolved.metric_cadence = "
         + ("every epoch" if spec.algorithm == "sgd" else str(config.cadence_for(cost))),
-        f"# resolved.init.seed = {spec.init.get('seed', 0)}",
     ]
+    if "theta0" not in spec.init:  # an mlp start drawn from a seed; a given theta0 reads none
+        lines.append(f"# resolved.init.seed = {spec.init.get('seed', 0)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.write(CSV_HEADER + "\n")

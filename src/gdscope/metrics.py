@@ -188,7 +188,7 @@ def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
     return out
 
 
-def _weighted_integral(taus, dirs, include_zero_node=True):
+def _weighted_integral(taus, dirs):
     """Trapezoid of g(tau) = 2*tau*dir(tau), with g(0) linearly extrapolated.
 
     ``dirs`` holds one tau sweep along its last axis; a (k, len(taus)) stack of
@@ -198,33 +198,25 @@ def _weighted_integral(taus, dirs, include_zero_node=True):
     2 * 0.5 * dir(tau_1) * tau_1.
     """
     g = 2.0 * taus * dirs
-    if include_zero_node:
-        if taus.shape[0] >= 2:
-            g0 = g[..., :1] - taus[0] * (g[..., 1:2] - g[..., :1]) / (taus[1] - taus[0])
-        else:
-            g0 = np.zeros_like(g[..., :1])
-        g = np.concatenate((g0, g), axis=-1)
-        taus = np.concatenate(([0.0], taus))
-    out = _trapz(g, taus, axis=-1)
+    if taus.shape[0] >= 2:
+        g0 = g[..., :1] - taus[0] * (g[..., 1:2] - g[..., :1]) / (taus[1] - taus[0])
+    else:
+        g0 = np.zeros_like(g[..., :1])
+    out = _trapz(np.concatenate((g0, g), axis=-1), np.concatenate(([0.0], taus)), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _identity_rhs(eta, taus, dirs, include_zero_node=True):
+def _identity_rhs(eta, taus, dirs):
     """The identity's right side -1 + (eta/2) * weighted integral, from the tau sweep ``dirs``."""
-    return -1.0 + 0.5 * eta * _weighted_integral(taus, dirs, include_zero_node)
+    return -1.0 + 0.5 * eta * _weighted_integral(taus, dirs)
 
 
 def verify_identity(cost: CostFunction, theta, eta: float,
-                    grid: QuadratureGrid | None = None,
-                    include_zero_node: bool = True) -> IdentityCheck:
-    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once.
-
-    ``include_zero_node=False`` drops the quadrature's extrapolated tau = 0
-    node; it exists for fault injection in the self-check command.
-    """
+                    grid: QuadratureGrid | None = None) -> IdentityCheck:
+    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once."""
     taus = (grid or _DEFAULT_GRID).taus
     theta, loss, g, gnorm, step, _ = _measured(cost, theta, eta)
-    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus), include_zero_node)
+    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus))
     lhs = (cost.value(theta - step) - loss) / (eta * gnorm**2)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 

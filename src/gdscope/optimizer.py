@@ -61,8 +61,7 @@ class OptimizerConfig:
             raise ContractViolation("metric_cadence must be >= 1")
         if self.stop_accuracy is not None and not (0.0 < self.stop_accuracy <= 1.0):
             raise ContractViolation("stop_accuracy must lie in (0, 1]")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+        as_rng(self.seed)  # refuses a seed that is not an integer in [0, 2**64)
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -203,7 +202,7 @@ def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,
         raise ContractViolation("sgd_run needs a dataset-backed cost")
     flags = flags or MetricFlags(dir=False)
     batch = min(config.batch_size, n)
-    rng = np.random.default_rng(np.uint64(config.seed))
+    rng = as_rng(config.seed)
     # expected-rp seeds have a stream of their own, so recording them leaves the shuffles
     erp = (batch, np.random.default_rng([config.seed, 1])) if flags.expected_rp else None
 

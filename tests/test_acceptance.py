@@ -8,6 +8,7 @@ alongside the numerical bounds.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gdscope import acceptance, experiments, metrics
@@ -90,9 +91,15 @@ def test_runtime_budgets(results):
         assert results[name].runtime_s < budget, f"{name} took {results[name].runtime_s}s"
 
 
-def test_fault_injection_breaks_identity_criterion():
-    # a corrupted quadrature rule must be caught, and by the right criterion
-    broken = acceptance.rp_dir_identity(corrupt_quadrature=True)
+def test_fault_injection_breaks_identity_criterion(monkeypatch):
+    # a quadrature rule that drops the extrapolated tau = 0 node must be caught, and by
+    # the right criterion
+    def without_zero_node(taus, dirs):
+        out = metrics._trapz(2.0 * taus * dirs, taus, axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
+
+    monkeypatch.setattr(metrics, "_weighted_integral", without_zero_node)
+    broken = acceptance.rp_dir_identity()
     assert not broken.passed
     assert broken.name == "rp-dir-identity"
     assert "rp-dir-identity" in broken.report_line()

@@ -227,30 +227,15 @@ def test_check_exit_codes(monkeypatch, capsys):
     from gdscope import acceptance
 
     fake_pass = [CriterionResult("a", "1", "1", True), CriterionResult("b", "2", "2", True)]
-    monkeypatch.setattr(acceptance, "check_all", lambda corrupt_quadrature=False: fake_pass)
+    monkeypatch.setattr(acceptance, "check_all", lambda: fake_pass)
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out
     assert "criterion=a" in out and "pass=true" in out
 
     fake_fail = [CriterionResult("rp-dir-identity", "x", "y", False)]
-    monkeypatch.setattr(acceptance, "check_all", lambda corrupt_quadrature=False: fake_fail)
+    monkeypatch.setattr(acceptance, "check_all", lambda: fake_fail)
     assert cli.main(["check"]) == 1
     assert "pass=false" in capsys.readouterr().out
-
-
-def test_corrupt_quadrature_flag_reaches_criteria(monkeypatch, capsys):
-    from gdscope import acceptance
-
-    seen = {}
-
-    def spy(corrupt_quadrature=False):
-        seen["flag"] = corrupt_quadrature
-        return [CriterionResult("rp-dir-identity", "m", "b", not corrupt_quadrature)]
-
-    monkeypatch.setattr(acceptance, "check_all", spy)
-    assert cli.main(["check", "--corrupt-quadrature"]) == 1
-    assert seen["flag"] is True
-    assert "rp-dir-identity" in capsys.readouterr().out
 
 
 def test_resolved_seed_embedded_in_header(quad_cfg, tmp_path):
@@ -264,6 +249,17 @@ def test_resolved_seed_embedded_in_header(quad_cfg, tmp_path):
     assert cli.main(["run", str(sgd_cfg), "--outdir", str(tmp_path)]) == 0
     assert "# resolved.optimizer.seed = 0" in (tmp_path / "unit-sgd.csv").read_text()
     assert json.loads((tmp_path / "unit-sgd.csv.summary.json").read_text())["seed"] == 0
+
+
+def test_init_seed_recorded_only_where_one_was_read(tmp_path):
+    # a closed-form cost, or a net given theta0, starts from theta0 and reads no seed
+    theta0 = ", ".join(["0.1"] * 26)  # MLP_CFG's dimension
+    for text, want in ((QUAD_CFG, []), (MLP_CFG, ["# resolved.init.seed = 0"]),
+                       (MLP_CFG + "\n[init]\nseed = 3\n", ["# resolved.init.seed = 3"]),
+                       (MLP_CFG + f"\n[init]\ntheta0 = {theta0}\n", [])):
+        summary = X.run_spec(X.parse_spec(io.StringIO(text)), tmp_path)
+        header = Path(summary.csv_path).read_text().splitlines()
+        assert [l for l in header if l.startswith("# resolved.init")] == want
 
 
 def test_fd_surrogate_sharpness_flagged_in_header(tmp_path):
@@ -358,6 +354,13 @@ max_iter = 2
                  id="dataset.seed"),
     pytest.param("dataset.n_take", MLP_CFG.replace(
         "source = synthetic", "source = cifar10\npath = {batch}\nn_take = abc"), id="n_take"),
+    # seeds past as_rng's [0, 2**64) left through numpy or as_rng with exit 1
+    pytest.param("init.seed", MLP_CFG + f"\n[init]\nseed = {2**64}\n", id="init.seed-2**64"),
+    pytest.param("dataset.seed", MLP_CFG.replace("classes = 2", f"classes = 2\nseed = {2**64}"),
+                 id="dataset.seed-2**64"),
+    pytest.param("optimizer: seed", MLP_CFG.replace(
+        "max_iter = 2", f"max_iter = 2\nalgorithm = sgd\nbatch_size = 4\nseed = {2**64}"),
+                 id="optimizer.seed-2**64"),
 ])
 def test_malformed_integer_fields_exit_2(tmp_path, capsys, field, text):
     batch = tmp_path / "data_batch_1.bin"

@@ -123,19 +123,37 @@ def test_well_formed_templates_run():
         assert _exit_code(template, "eta", GOOD["eta"])[0] == 0
 
 
+# the MLP template's net has dimension 26
+MLP_THETA0 = MLP + "\n[init]\ntheta0 = " + ", ".join(["0.1"] * 26) + "\n"
+CIFAR = MLP.replace("n = 16\nd = 3\nclasses = 2\nspread = {spread}\n",
+                    "source = cifar10\npath = data_batch_1.bin\n")
+
+
 @pytest.mark.parametrize("template, section, key, value", [
     pytest.param(QUAD, "optimizer", "blowup_threshold", "1e12", id="blowup_threshold"),
     pytest.param(MLP, "cost", "normalize_eps", "0", id="normalize_eps"),
     pytest.param(QUAD + "\n[metrics]\nidentity = true\n", "metrics", "tau_points", "abc",
                  id="tau_points"),
-    pytest.param(QUAD + "\n[metrics]\n", "metrics", "tau_points", "0", id="tau_points-zero")])
+    pytest.param(QUAD + "\n[metrics]\n", "metrics", "tau_points", "0", id="tau_points-zero"),
+    pytest.param(QUAD, "experiment", "colour", "red", id="experiment"),
+    pytest.param(QUAD + "\n[output]\n", "output", "pth", "run.csv", id="output"),
+    pytest.param(MLP, "dataset", "sead", "3", id="dataset"),
+    pytest.param(MLP + "\n[init]\n", "init", "seeed", "3", id="init"),
+    pytest.param(QUAD + "\n[dataset]\n", "dataset", "n", "32", id="dataset-closed-form"),
+    pytest.param(QUAD, "init", "seed", "5", id="init.seed-closed-form"),
+    pytest.param(MLP_THETA0, "init", "seed", "5", id="init.seed-beside-theta0"),
+    pytest.param(MLP, "dataset", "n_take", "100", id="n_take-synthetic"),
+    pytest.param(MLP, "dataset", "path", "data_batch_1.bin", id="path-synthetic"),
+    pytest.param(CIFAR, "dataset", "n", "32", id="n-cifar10"),
+    pytest.param(CIFAR, "dataset", "seed", "3", id="seed-cifar10")])
 def test_removed_keys_exit_2_as_unknown(template, section, key, value):
-    # none of these settings exists any more: a config that sets one, to any value,
-    # is refused rather than ignored
+    # nothing reads these keys: settings that no longer exist, typos, a seed beside a
+    # given start or on a closed-form cost, the other data source's settings; a config
+    # that sets one, to any value, is refused rather than ignored
     template = template.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     code, err = _exit_code(template, "eta", GOOD["eta"])
     assert code == 2, err
-    assert f"{section}: unknown keys" in err and key in err, err
+    assert f"{section}: unknown keys" in err and repr(key) in err, err
 
 
 def test_sgd_on_a_closed_form_cost_exits_2():

@@ -209,12 +209,11 @@ def test_integral_of_a_sweep_stack_is_each_sweep_bit_for_bit(nodes):
     # one call over (k, nodes) sweeps serves a whole Monte Carlo draw
     taus = QuadratureGrid.default(nodes).taus
     dirs = np.random.default_rng(nodes).standard_normal((7, nodes))
-    for zero_node in (True, False):
-        got = metrics._weighted_integral(taus, dirs, zero_node)
-        assert got.shape == (7,)
-        want = [metrics._weighted_integral(taus, row, zero_node) for row in dirs]
-        assert all(isinstance(w, float) for w in want)
-        assert got.tolist() == want
+    got = metrics._weighted_integral(taus, dirs)
+    assert got.shape == (7,)
+    want = [metrics._weighted_integral(taus, row) for row in dirs]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tolist() == want
 
 
 def test_grid_validation():
@@ -279,12 +278,12 @@ def test_identity_sides_equal_the_standalone_metrics(mid_training_mlp):
     # to relative_progress and a directional_smoothness sweep computed on their own
     net, theta = mid_training_mlp
     eta = 2 / 60
-    for grid, zero_node in ((None, True), (QuadratureGrid.default(37), False)):
-        check = verify_identity(net, theta, eta, grid, include_zero_node=zero_node)
+    for grid in (None, QuadratureGrid.default(37)):
+        check = verify_identity(net, theta, eta, grid)
         assert check.lhs == relative_progress(net, theta, eta)
         taus = (grid or QuadratureGrid.default()).taus
         assert check.rhs == -1.0 + 0.5 * eta * metrics._weighted_integral(
-            taus, _sweep(net, theta, eta, taus), zero_node)
+            taus, _sweep(net, theta, eta, taus))
         assert check.residual == abs(check.lhs - check.rhs)
 
 # --- single-tau approximation --------------------------------------------------

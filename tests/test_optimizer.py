@@ -117,11 +117,14 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         OptimizerConfig(eta=0.1, stop_accuracy=1.5)
     # sgd_run took no step at batch_size < 0, and failed outside the contract at
-    # batch_size = 0 (range) and seed < 0 (the uint64 seed)
-    for bad in ({"batch_size": 0}, {"batch_size": -5}, {"seed": -1}):
+    # batch_size = 0 (range) and seed < 0 or 2**64 (the uint64 seed); seed 1.5 ran as
+    # seed 1. A seed follows costs.as_rng's rule, as every other seeded entry point does
+    for bad in ({"batch_size": 0}, {"batch_size": -5}, {"seed": -1}, {"seed": 2**64},
+                {"seed": 1.5}, {"seed": None}):
         with pytest.raises(ContractViolation):
             OptimizerConfig(eta=0.1, **bad)
-    OptimizerConfig(eta=0.1, batch_size=1, seed=0)  # the edges are valid
+    for seed in (0, np.uint64(2**64 - 1)):  # the edges are valid
+        OptimizerConfig(eta=0.1, batch_size=1, seed=seed)
 
 
 # --- SGD -------------------------------------------------------------------
