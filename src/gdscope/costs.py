@@ -248,24 +248,21 @@ class SingleNeuron(CostFunction):
 class WeightDecayWrapped(CostFunction):
     """Adds gamma * ||theta||^2 to an inner cost.
 
-    Keeps (or overrides) the inner cost's homogeneous-coordinate index set so
-    the stationary-point analysis can see both pieces. Has the inner cost's
+    Keeps the inner cost's homogeneous-coordinate index set so the
+    stationary-point analysis can see both pieces. Has the inner cost's
     ``accuracy`` exactly when the inner cost has one: decay does not change
     predictions, so a classifier's accuracy stop rule still applies.
     """
 
     kind = "weight_decay_wrapped"
 
-    def __init__(self, inner: CostFunction, gamma: float, homogeneous_indices=None):
+    def __init__(self, inner: CostFunction, gamma: float):
         if not 0 <= gamma < math.inf:
             raise ContractViolation(f"weight decay gamma must be finite and >= 0, got {gamma}")
         self.inner = inner
         self.gamma = float(gamma)
         self.dimension = inner.dimension
-        if homogeneous_indices is not None:
-            self.homogeneous_indices = np.asarray(homogeneous_indices, dtype=np.intp)
-        else:
-            self.homogeneous_indices = inner.homogeneous_indices
+        self.homogeneous_indices = inner.homogeneous_indices
 
     def value(self, theta) -> float:
         theta = self.check(theta)

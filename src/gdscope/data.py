@@ -8,7 +8,7 @@ resulting datasets are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,11 @@ class Dataset:
     """Labeled examples feeding the classifier costs.
 
     features: (n, d) float64 matrix, labels: (n,) int64 with values in [0, num_classes).
-    meta carries provenance (source, seed, standardization constants) so any
-    serialized trace can state exactly what it was trained on.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -100,13 +97,7 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), counts)
     noise = rng.standard_normal((spec.n, spec.d)) * spec.cluster_spread
     features = centers[labels] + noise
-
-    meta = {
-        "source": "synthetic-blobs",
-        "seed": int(spec.seed),
-        "cluster_spread": float(spec.cluster_spread),
-    }
-    return Dataset(features, labels, spec.classes, meta)
+    return Dataset(features, labels, spec.classes)
 
 
 def load_cifar10_binary(path, n_take: int) -> Dataset:
@@ -143,12 +134,5 @@ def load_cifar10_binary(path, n_take: int) -> Dataset:
     stds[stds == 0] = 1.0
     channels = (channels - means[None, :, None]) / stds[None, :, None]
     features = channels.reshape(n_take, CIFAR_PIXELS)
-
-    meta = {
-        "source": f"cifar10-binary:{path}",
-        "n_take": int(n_take),
-        "channel_means": means.tolist(),
-        "channel_stds": stds.tolist(),
-    }
-    return Dataset(features, labels, CIFAR_CLASSES, meta)
+    return Dataset(features, labels, CIFAR_CLASSES)
 

@@ -31,19 +31,19 @@ g_b leaves the LHS defined and the RHS undefined.
 
 The stochastic analogue of rp is estimated by Monte Carlo over minibatches,
 twice: ``expected_rp`` reads E f(theta - eta*g_b) directly, and
-``expected_rp_rhs`` its directional-smoothness form. Both are views of one
+``expected_rp_rhs`` its directional-smoothness form. Both come from one
 paired draw, which evaluates theta once, draws every minibatch first, takes
 their gradients g_b in stacked ``stochastic_gradients`` calls of n // b
 batches (one backward pass) and makes one ``value_and_gradient`` at each
 theta - eta*g_b of a call before the next call, so at most min(k, n // b)
 g_b are alive at once; a non-finite sample step is refused before its own
 call's points are evaluated. A ``grad_sampler``'s k samples come as one
-stack. Whichever view is called first parks the other's result in a
-one-entry memo, which a later call of the other view with an equal key (the
-same cost and sampler objects, theta's bytes, eta, batch_size, num_batches,
-seed and, for the RHS, the grid) takes and clears. The memo holds weak
-references only, and assumes that a cost (and a sampler) is not mutated
-between the two calls of a pair.
+stack. The pair is taken one way: ``expected_rp`` leaves its draw's
+one-node RHS in a one-entry slot, which the next ``expected_rp_rhs`` call
+takes, and clears, when its key is equal (the same cost and sampler objects,
+theta's bytes, eta, batch_size, num_batches, seed and the one-node grid);
+any other call draws afresh. The slot holds weak references only, and
+assumes that a cost (and a sampler) is not mutated between the two calls.
 
 All functions are pure given (cost, theta, parameters, seed); sweeps reduce
 in a fixed order so repeated calls are bit-identical.
@@ -89,7 +89,12 @@ class MetricSample:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Strictly increasing tau nodes in (0, 1] for the dir-integral quadrature."""
+    """Strictly increasing tau nodes in (0, 1], the last one 1, for the dir-integral quadrature.
+
+    The identity integrates over [0, 1], so a grid ending short of 1 would
+    integrate a different quantity, and no refinement of it converges; the
+    node tau = 1 is the full step, whose gradient the paired draw already has.
+    """
 
     taus: np.ndarray
 
@@ -97,8 +102,9 @@ class QuadratureGrid:
         taus = np.ascontiguousarray(self.taus, dtype=np.float64)
         if taus.ndim != 1 or taus.size == 0:
             raise ContractViolation("tau grid must be a nonempty 1-D sequence")
-        if taus[0] <= 0.0 or taus[-1] > 1.0 or np.any(np.diff(taus) <= 0.0):
-            raise ContractViolation("tau grid must be strictly increasing within (0, 1]")
+        if taus[0] <= 0.0 or taus[-1] != 1.0 or np.any(np.diff(taus) <= 0.0):
+            raise ContractViolation("tau grid must be strictly increasing within (0, 1] "
+                                    "and end at 1")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
 
@@ -176,14 +182,15 @@ def directional_smoothness(cost: CostFunction, theta, v) -> float:
 
 def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
     """dir_{eta*tau*direction}(theta) for each tau, reusing grad(theta) and, for the
-    node tau = 1, ``g_at_end``: the gradient at theta - eta*direction, when known."""
+    last node tau = 1, ``g_at_end``: the gradient at theta - eta*direction, when known."""
     out = np.empty(taus.shape[0])
+    last = taus.shape[0] - 1
     for i, tau in enumerate(taus):
         v = (eta * tau) * direction
         vv = float(v @ v)
         if not math.isfinite(vv) or vv == 0.0:
             raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-        g_back = g_at_end if g_at_end is not None and tau == 1.0 else cost.gradient(theta - v)
+        g_back = g_at_end if i == last and g_at_end is not None else cost.gradient(theta - v)
         out[i] = float(v @ (g_at_theta - g_back)) / vv
     return out
 
@@ -193,9 +200,9 @@ def _weighted_integral(taus, dirs):
 
     ``dirs`` holds one tau sweep along its last axis; a (k, len(taus)) stack of
     sweeps gives k integrals, each with the bits of its own 1-D call, and a
-    single sweep gives a float. With a single grid point the extrapolation
-    degenerates to treating dir as constant, i.e. g(0) = 0 and the integral is
-    2 * 0.5 * dir(tau_1) * tau_1.
+    single sweep gives a float. With the single grid point tau = 1 the
+    extrapolation degenerates to treating dir as constant, i.e. g(0) = 0 and
+    the integral is dir(1).
     """
     g = 2.0 * taus * dirs
     if taus.shape[0] >= 2:
@@ -437,20 +444,19 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
     step; draws the gradient samples g_b once, chunk by chunk (in the rng order
     of ``_batch_gradients``), and makes one ``value_and_gradient`` at each
     theta - eta*g_b: its value is the LHS sample and its gradient serves the
-    RHS node tau = 1; any other node of ``taus`` is evaluated by ``gradient``.
-    A chunk's points are evaluated, and the chunk dropped, before the next is
-    taken, so at most min(k, n // b) g_b are held. The tau sweeps are kept as
-    (k, len(taus)) rows and integrated in one call. ``rhs`` is None when some
-    g_b is zero, so that dir is undefined, and with ``lhs_only``, which skips
-    the RHS: each point then costs one ``value``. Raises ``ZeroDirectionError``
-    when some ||g_b||^2 or ||eta*g_b||^2 is not finite, before any point of its
-    chunk is evaluated.
+    RHS node tau = 1, the last of every grid; any other node of ``taus`` is
+    evaluated by ``gradient``. A chunk's points are evaluated, and the chunk
+    dropped, before the next is taken, so at most min(k, n // b) g_b are held.
+    The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
+    ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
+    ``lhs_only``, which skips the RHS: each point then costs one ``value``.
+    Raises ``ZeroDirectionError`` when some ||g_b||^2 or ||eta*g_b||^2 is not
+    finite, before any point of its chunk is evaluated.
     """
     if num_batches < 1:
         raise ContractViolation("num_batches must be >= 1")
     rng = as_rng(seed)
     scale = eta * gnorm**2
-    fused = taus[-1] == 1.0
     lhs = np.empty(num_batches)
     sq_norms = np.empty(num_batches)
     dirs = None if lhs_only else np.empty((num_batches, taus.shape[0]))
@@ -462,13 +468,11 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
             raise ZeroDirectionError("a sample step's norm is not finite: expected rp undefined")
         for i, gb in enumerate(grads, start):
             point = theta - eta * gb
-            if dirs is None or not fused:
-                value, g_end = cost.value(point), None
-            else:
-                value, g_end = cost.value_and_gradient(point)
-            lhs[i] = (value - loss) / scale
             if dirs is None:
+                lhs[i] = (cost.value(point) - loss) / scale
                 continue
+            value, g_end = cost.value_and_gradient(point)
+            lhs[i] = (value - loss) / scale
             try:
                 dirs[i] = _dir_along(cost, theta, g, gb, eta, taus, g_end)
             except ZeroDirectionError:
@@ -483,56 +487,12 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
     return _mean_and_stderr(lhs), (-1.0 + 0.5 * eta * est, 0.5 * eta * err)
 
 
-class _PairMemo:
-    """The half of the last expected-rp pair that its other view has not yet read.
-
-    Holds one entry at most, and weak references only, to the cost and to the
-    sampler. ``take`` returns the parked result (the RHS may be None, meaning
-    undefined) when the view and key match, and clears the entry either way.
-    """
-
-    MISS = object()
-
-    def __init__(self):
-        self._entry = None
-
-    def take(self, half, cost, grad_sampler, key):
-        entry, self._entry = self._entry, None
-        if entry is None:
-            return self.MISS
-        parked_half, cost_ref, sampler_ref, parked_key, result = entry
-        if (parked_half == half and cost_ref() is cost and parked_key == key
-                and (grad_sampler is None if sampler_ref is None
-                     else sampler_ref() is grad_sampler)):
-            return result
-        return self.MISS
-
-    def park(self, half, cost, grad_sampler, key, result):
-        try:
-            cost_ref = weakref.ref(cost)
-            sampler_ref = None if grad_sampler is None else weakref.ref(grad_sampler)
-        except TypeError:  # not weakly referenceable: nothing is parked
-            return
-        self._entry = (half, cost_ref, sampler_ref, key, result)
+# (cost ref, sampler ref or None, key, rhs) of the last expected_rp draw, or None
+_parked_rhs = None
 
 
-_pair_memo = _PairMemo()
-
-
-def _paired_view(half, cost, theta, eta, batch_size, num_batches, seed, grad_sampler, taus):
-    """One half of the pair: the parked one when it matches, else a fresh pair."""
-    arr = np.ascontiguousarray(theta, dtype=np.float64)
-    key = (arr.shape, arr.tobytes(), eta, batch_size, num_batches, seed)
-    keys = {"lhs": key, "rhs": key + (taus.tobytes(),)}
-    result = _pair_memo.take(half, cost, grad_sampler, keys[half])
-    if result is _PairMemo.MISS:
-        lhs, rhs = _paired_draw(cost, *_measured(cost, arr, eta)[:4], eta, batch_size,
-                                num_batches, seed, grad_sampler, taus)
-        result, other, parked = (lhs, "rhs", rhs) if half == "lhs" else (rhs, "lhs", lhs)
-        _pair_memo.park(other, cost, grad_sampler, keys[other], parked)
-    if result is None:
-        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-    return result
+def _pair_key(theta, eta, batch_size, num_batches, seed, taus):
+    return theta.shape, theta.tobytes(), eta, batch_size, num_batches, seed, taus.tobytes()
 
 
 def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
@@ -543,13 +503,22 @@ def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
     sample is the deterministic full gradient and this equals
     relative_progress exactly (stderr 0).
 
-    A view of the paired draw (see the module docstring): unless it takes the
-    result parked by an ``expected_rp_rhs`` call with the same arguments, the
-    call computes both estimators and parks the default-grid RHS for one later
-    ``expected_rp_rhs`` call. The cost must not be mutated in between.
+    Draws the pair (see the module docstring) and leaves its one-node RHS for
+    the next ``expected_rp_rhs`` call, which takes it when its arguments match
+    and the cost has not been mutated in between.
     """
-    return _paired_view("lhs", cost, theta, eta, batch_size, num_batches, seed,
-                        grad_sampler, _ONE_NODE.taus)
+    global _parked_rhs
+    _parked_rhs = None
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    lhs, rhs = _paired_draw(cost, *_measured(cost, theta, eta)[:4], eta, batch_size,
+                            num_batches, seed, grad_sampler)
+    try:
+        sampler_ref = None if grad_sampler is None else weakref.ref(grad_sampler)
+        _parked_rhs = (weakref.ref(cost), sampler_ref,
+                       _pair_key(theta, eta, batch_size, num_batches, seed, _ONE_NODE.taus), rhs)
+    except TypeError:  # not weakly referenceable: nothing is parked
+        pass
+    return lhs
 
 
 def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
@@ -562,11 +531,22 @@ def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
     2 * integral tau * dir_{eta*tau*g} dtau per sample. Raises
     ``ZeroDirectionError`` when a gradient sample is zero.
 
-    A view of the paired draw (see the module docstring): matching seeds with
-    ``expected_rp`` mean identical samples, and whichever of the two is called
-    first computes both and parks the other's result for one later call with
-    the same arguments. The cost must not be mutated in between.
+    Matching seeds with ``expected_rp`` mean identical samples. Right after an
+    ``expected_rp`` call with the same cost, sampler and arguments, and the
+    one-node grid, this takes the RHS that call left; otherwise it draws the
+    pair afresh and leaves nothing behind.
     """
+    global _parked_rhs
     taus = (grid or _ONE_NODE).taus
-    return _paired_view("rhs", cost, theta, eta, batch_size, num_batches, seed,
-                        grad_sampler, taus)
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    parked, _parked_rhs = _parked_rhs, None
+    if (parked is not None and parked[0]() is cost
+            and (grad_sampler is None if parked[1] is None else parked[1]() is grad_sampler)
+            and parked[2] == _pair_key(theta, eta, batch_size, num_batches, seed, taus)):
+        rhs = parked[3]
+    else:
+        _, rhs = _paired_draw(cost, *_measured(cost, theta, eta)[:4], eta, batch_size,
+                              num_batches, seed, grad_sampler, taus)
+    if rhs is None:
+        raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
+    return rhs

@@ -83,6 +83,11 @@ class MetricFlags:
     expected_rp: bool = False  # SGD epoch metric
     expected_rp_batches: int = 64
 
+    def __post_init__(self):
+        if self.expected_rp_batches < 1:
+            raise ContractViolation(
+                f"expected_rp_batches must be >= 1, got {self.expected_rp_batches}")
+
 
 class SampleTable(Sequence):
     """A finished run's samples, read-only and stored by column.

@@ -174,12 +174,12 @@ def test_sweep_orders_and_labels(quad_cfg, tmp_path, capsys):
     assert "converged" in body[2]
 
 
-def test_sweep_agrees_with_divergence_oracle(quad_cfg):
+def test_sweep_agrees_with_divergence_oracle(quad_cfg, tmp_path):
     from gdscope import quadratic_divergence_oracle
 
     spec = X.parse_spec(quad_cfg)
     etas = [2 / 39, 2 / 40, 2 / 41, 0.01, 0.2]
-    summaries = X.sweep_spec(spec, etas, outdir="/tmp/gdscope-test-sweep")
+    summaries = X.sweep_spec(spec, etas, outdir=str(tmp_path))
     assert [s.eta for s in summaries] == etas
     P = np.diag([40.0, 2.0])
     for s in summaries:

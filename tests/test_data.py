@@ -72,7 +72,6 @@ def test_cifar_loader_roundtrip(tmp_path):
     for c in range(3):
         assert abs(chans[:, c, :].mean()) < 1e-12
         assert abs(chans[:, c, :].std() - 1.0) < 1e-12
-    assert "channel_means" in ds.meta and ds.meta["source"].startswith("cifar10-binary")
 
 
 def test_cifar_truncated_file(tmp_path):

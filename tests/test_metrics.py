@@ -225,6 +225,8 @@ def test_grid_validation():
         QuadratureGrid(np.array([0.5, 0.5]))
     with pytest.raises(ContractViolation):
         QuadratureGrid(np.array([0.5, 1.5]))
+    with pytest.raises(ContractViolation):  # ends short of tau = 1
+        QuadratureGrid(np.array([0.3, 0.7]))
 
 
 # --- the rp/dir identity -------------------------------------------------------
@@ -738,18 +740,20 @@ def test_expected_rp_views_match_the_scalar_loops(kind):
     cost, theta, eta, batch, sampler = _pair_problem(kind)
     args = (cost, theta, eta, batch, 24, 11)
     lhs, rhs = _scalar_pair(*args, sampler=sampler)
-    # LHS first (the RHS is then the parked half), RHS first, and each view alone
+    # LHS first (the RHS is then the parked half), RHS first (a fresh draw), and each alone
     assert expected_rp(*args, grad_sampler=sampler) == lhs
     assert expected_rp_rhs(*args, grad_sampler=sampler) == rhs
     assert expected_rp_rhs(*args, grad_sampler=sampler) == rhs
     assert expected_rp(*args, grad_sampler=sampler) == lhs
     assert expected_rp(*args, grad_sampler=sampler) == lhs
-    # a grid with more nodes, ending at tau = 1 or short of it
-    for taus in ((0.25, 0.5, 1.0), (0.3, 0.7)):
-        grid = QuadratureGrid(np.array(taus))
-        _, want = _scalar_pair(*args, sampler=sampler, taus=taus)
-        assert expected_rp_rhs(*args, grid=grid, grad_sampler=sampler) == want
-        assert expected_rp(*args, grad_sampler=sampler) == lhs
+    # a grid with more nodes ends at tau = 1; one ending short of it is refused
+    taus = (0.25, 0.5, 1.0)
+    _, want = _scalar_pair(*args, sampler=sampler, taus=taus)
+    grid = QuadratureGrid(np.array(taus))
+    assert expected_rp_rhs(*args, grid=grid, grad_sampler=sampler) == want
+    assert expected_rp(*args, grad_sampler=sampler) == lhs
+    with pytest.raises(ContractViolation):
+        QuadratureGrid(np.array((0.3, 0.7)))
 
 
 @pytest.mark.parametrize("kw", NETS)
@@ -935,10 +939,11 @@ def test_the_parked_half_is_taken_once_and_only_on_an_equal_key(sgd_net):
     assert _calls_made(cost, lambda: expected_rp(cost, *base)) == pair
     # an equal theta in another array is an equal key
     assert _calls_made(cost, lambda: expected_rp_rhs(cost, theta.copy(), *base[1:])) == nothing
-    # consumed: the same call again computes afresh, as does a view called twice
+    # consumed: the same call again computes afresh, as does a view called twice;
+    # the RHS leaves no LHS behind, so the LHS after it draws afresh too
     assert _calls_made(cost, lambda: expected_rp_rhs(cost, *base)) == pair
     assert _calls_made(cost, lambda: expected_rp_rhs(cost, *base)) == pair
-    assert _calls_made(cost, lambda: expected_rp(cost, *base)) == nothing
+    assert _calls_made(cost, lambda: expected_rp(cost, *base)) == pair
 
     other_cost = CountingCost(net)
     nudged = theta.copy()
@@ -966,7 +971,7 @@ def test_a_different_sampler_is_a_different_key():
     assert made["value_and_gradient"] == 21
     made = _calls_made(counted, lambda: expected_rp(counted, theta, eta, 1, 20, 3,
                                                      grad_sampler=twin))
-    assert made["value_and_gradient"] == 0
+    assert made["value_and_gradient"] == 21  # the RHS leaves no LHS behind
     # no sampler at all is a different key too: the quadratic has no dataset
     expected_rp(counted, theta, eta, 1, 20, 3, grad_sampler=sampler)
     with pytest.raises(ContractViolation):

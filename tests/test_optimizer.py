@@ -127,6 +127,14 @@ def test_config_validation():
         OptimizerConfig(eta=0.1, batch_size=1, seed=seed)
 
 
+def test_metric_flags_refuse_fewer_than_one_expected_rp_batch():
+    # only the spec parser refused 0; sgd_run then failed at epoch 0 inside the draw
+    for bad in (0, -3):
+        with pytest.raises(ContractViolation):
+            MetricFlags(expected_rp=True, expected_rp_batches=bad)
+    assert MetricFlags(expected_rp=True, expected_rp_batches=1).expected_rp_batches == 1
+
+
 # --- SGD -------------------------------------------------------------------
 
 

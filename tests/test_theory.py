@@ -150,7 +150,8 @@ def test_plain_tanh_net_is_negative_control():
         homogeneity_orthogonality(net, net.init_params(0))
     # declaring the first layer anyway shows it is genuinely not homogeneous
     n_first = 6 * 4 + 6
-    declared = WeightDecayWrapped(net, 0.0, homogeneous_indices=np.arange(n_first))
+    declared = WeightDecayWrapped(net, 0.0)
+    declared.homogeneous_indices = np.arange(n_first)
     vals = [abs(homogeneity_orthogonality(declared, net.init_params(s))) for s in range(10)]
     assert max(vals) > 1e-4
 
