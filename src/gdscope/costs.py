@@ -43,6 +43,13 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.uint64(seed))
 
 
+def as_count(x, name: str, minimum: int = 1) -> int:
+    """Validate a count: an integer of at least ``minimum``, numpy integers included."""
+    if not isinstance(x, numbers.Integral) or x < minimum:
+        raise ContractViolation(f"{name} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
+
+
 def as_finite(x, name: str) -> float:
     """Validate a scalar parameter: a finite float."""
     x = float(x)

@@ -165,7 +165,7 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
 
     met = _section(cp, "metrics")
     flag_kwargs = {}
-    for key in ("rp", "dir", "sharpness", "identity", "tau_sweep", "expected_rp"):
+    for key in ("rp", "dir", "sharpness", "tau_sweep", "expected_rp"):
         if key in met:
             flag_kwargs[key] = _parse_bool(met.pop(key), f"metrics.{key}")
     if "expected_rp_batches" in met:
@@ -177,7 +177,7 @@ def parse_spec(source, name_hint: str = "<config>") -> ExperimentSpec:
             if _READ_ONLY_BY.get(key, algorithm) != algorithm:
                 raise ConfigError(f"{where}.{key}: read by {_READ_ONLY_BY[key]} only, "
                                   f"and algorithm = {algorithm}")
-    flags = O.MetricFlags(**flag_kwargs)
+    flags = _checked("metrics", O.MetricFlags, **flag_kwargs)
 
     out = _section(cp, "output")
     output_path = out.pop("path", f"{name}.csv")

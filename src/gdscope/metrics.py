@@ -59,7 +59,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costs import CostFunction, as_params, as_rng
+from .costs import CostFunction, as_count, as_params, as_rng
 from .errors import ContractViolation, NearStationaryError, PowerIterationError, ZeroDirectionError
 
 GRAD_FLOOR_COEFF = 1e-12
@@ -102,7 +102,8 @@ class QuadratureGrid:
         taus = np.ascontiguousarray(self.taus, dtype=np.float64)
         if taus.ndim != 1 or taus.size == 0:
             raise ContractViolation("tau grid must be a nonempty 1-D sequence")
-        if taus[0] <= 0.0 or taus[-1] != 1.0 or np.any(np.diff(taus) <= 0.0):
+        # negated, so that a NaN node, for which every comparison is false, fails too
+        if not (taus[0] > 0.0 and taus[-1] == 1.0 and np.all(np.diff(taus) > 0.0)):
             raise ContractViolation("tau grid must be strictly increasing within (0, 1] "
                                     "and end at 1")
         taus.setflags(write=False)
@@ -110,6 +111,7 @@ class QuadratureGrid:
 
     @classmethod
     def default(cls, points: int = 100) -> "QuadratureGrid":
+        points = as_count(points, "points")
         return cls(np.linspace(1.0 / points, 1.0, points))
 
 
@@ -180,9 +182,9 @@ def directional_smoothness(cost: CostFunction, theta, v) -> float:
     return float(v @ (g - cost.gradient(theta - v))) / vv
 
 
-def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
+def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end):
     """dir_{eta*tau*direction}(theta) for each tau, reusing grad(theta) and, for the
-    last node tau = 1, ``g_at_end``: the gradient at theta - eta*direction, when known."""
+    last node tau = 1, ``g_at_end``: the gradient at theta - eta*direction."""
     out = np.empty(taus.shape[0])
     last = taus.shape[0] - 1
     for i, tau in enumerate(taus):
@@ -190,7 +192,7 @@ def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end=None):
         vv = float(v @ v)
         if not math.isfinite(vv) or vv == 0.0:
             raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
-        g_back = g_at_end if i == last and g_at_end is not None else cost.gradient(theta - v)
+        g_back = g_at_end if i == last else cost.gradient(theta - v)
         out[i] = float(v @ (g_at_theta - g_back)) / vv
     return out
 
@@ -220,38 +222,34 @@ def _identity_rhs(eta, taus, dirs):
 
 def verify_identity(cost: CostFunction, theta, eta: float,
                     grid: QuadratureGrid | None = None) -> IdentityCheck:
-    """Compare rp against -1 + (eta/2) * weighted dir integral, evaluating theta once."""
+    """Compare rp against -1 + (eta/2) * weighted dir integral. One ``value_and_gradient``
+    at theta - eta*g gives both rp's loss and the gradient of the last node, tau = 1."""
     taus = (grid or _DEFAULT_GRID).taus
     theta, loss, g, gnorm, step, _ = _measured(cost, theta, eta)
-    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus))
-    lhs = (cost.value(theta - step) - loss) / (eta * gnorm**2)
+    next_loss, next_g = cost.value_and_gradient(theta - step)
+    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus, next_g))
+    lhs = (next_loss - loss) / (eta * gnorm**2)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=False, erp=None):
     """The sample at iterate t, and what it owes: None, or ``_finish_step``'s first
-    arguments, as rp, dir and the identity's left side wait on the loss and gradient at
+    arguments, as rp, dir and the tau sweep wait on the loss and gradient at
     theta - step, step = eta*g. With ``look_ahead`` it evaluates theta - step itself and
     owes nothing; with ``erp`` = (batch_size, seed generator), rp holds expected rp, so
-    the step is evaluated only for dir or the identity."""
+    the step is evaluated only for dir or the sweep."""
     sample = MetricSample(t, loss, gnorm)
-    needs_step = (flags.rp and not erp) or flags.dir or flags.identity
-    step_sq = rhs = None
-    if needs_step or flags.tau_sweep or erp:
+    needs_step = (flags.rp and not erp) or flags.dir or flags.tau_sweep
+    step_sq = None
+    if needs_step or erp:
         try:
             step_sq = _step_sq(loss, gnorm, step, eta * gnorm)
         except (NearStationaryError, ZeroDirectionError):
             pass  # the step's fields stay empty
-    if step_sq is not None and (flags.identity or flags.tau_sweep):  # one sweep serves both
-        dirs = _dir_along(cost, theta, g, g, eta, _DEFAULT_GRID.taus)
-        if flags.identity:
-            rhs = _identity_rhs(eta, _DEFAULT_GRID.taus, dirs)
-        if flags.tau_sweep:
-            sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
     if flags.sharpness and math.isfinite(loss):
         # the value only: the estimate's Ritz vector is not kept per sample
         sample.sharpness = float(sharpness(cost, theta))
-    owes = (sample, step, step_sq, rhs, g) if step_sq is not None and needs_step else None
+    owes = (cost, theta, sample, step, step_sq, g) if step_sq is not None and needs_step else None
     if owes is not None and look_ahead:
         _finish_step(*owes, *cost.value_and_gradient(theta - step), eta, flags)
         owes = None
@@ -265,17 +263,19 @@ def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=Fals
     return sample, owes
 
 
-def _finish_step(sample, step, step_sq, rhs, g, next_loss, next_g, eta, flags):
-    """rp, dir and the identity residual (rhs is its right side, or None) along the
-    step from an iterate with gradient g, from the loss and gradient at theta - step."""
-    if flags.rp or rhs is not None:
+def _finish_step(cost, theta, sample, step, step_sq, g, next_loss, next_g, eta, flags):
+    """rp, dir and the tau sweep along the step from theta (gradient g), from the loss and
+    gradient at theta - step: the sweep's node tau = 1 is dir, the identity's left side rp."""
+    if flags.rp or flags.tau_sweep:
         rp = (next_loss - sample.loss) / (eta * sample.grad_norm**2)  # the identity's left side
         if flags.rp:
             sample.rp = rp
-        if rhs is not None:
-            sample.identity_residual = abs(rp - rhs)
     if flags.dir:
         sample.dir = float(step @ (g - next_g)) / step_sq
+    if flags.tau_sweep:
+        dirs = _dir_along(cost, theta, g, g, eta, _DEFAULT_GRID.taus, next_g)
+        sample.identity_residual = abs(rp - _identity_rhs(eta, _DEFAULT_GRID.taus, dirs))
+        sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
 
 
 # --- sharpness ---------------------------------------------------------------

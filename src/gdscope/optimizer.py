@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as M
-from .costs import CostFunction, as_params, as_rng
+from .costs import CostFunction, as_count, as_params, as_rng
 from .errors import ContractViolation
 
 OUTCOME_CONVERGED = "converged"
@@ -55,15 +55,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         M._check_eta(self.eta)
-        if self.max_iter < 1:
-            raise ContractViolation("max_iter must be >= 1")
-        if self.metric_cadence is not None and self.metric_cadence < 1:
-            raise ContractViolation("metric_cadence must be >= 1")
+        as_count(self.max_iter, "max_iter")
+        if self.metric_cadence is not None:
+            as_count(self.metric_cadence, "metric_cadence")
         if self.stop_accuracy is not None and not (0.0 < self.stop_accuracy <= 1.0):
             raise ContractViolation("stop_accuracy must lie in (0, 1]")
         as_rng(self.seed)  # refuses a seed that is not an integer in [0, 2**64)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size is not None:
+            as_count(self.batch_size, "batch_size")
 
     def cadence_for(self, cost: CostFunction) -> int:
         if self.metric_cadence is not None:
@@ -78,15 +77,14 @@ class MetricFlags:
     rp: bool = True
     dir: bool = True
     sharpness: bool = False
-    identity: bool = False
-    tau_sweep: bool = False
+    tau_sweep: bool = False  # the 100-node sweep: tau_dir_mean/std and the identity residual
     expected_rp: bool = False  # SGD epoch metric
     expected_rp_batches: int = 64
 
     def __post_init__(self):
-        if self.expected_rp_batches < 1:
-            raise ContractViolation(
-                f"expected_rp_batches must be >= 1, got {self.expected_rp_batches}")
+        as_count(self.expected_rp_batches, "expected_rp_batches")
+        if self.expected_rp and not self.rp:
+            raise ContractViolation("expected_rp is recorded in the rp column, so it needs rp")
 
 
 class SampleTable(Sequence):
@@ -146,10 +144,11 @@ def _stop_rule(cost, theta, loss, gnorm, config, check_accuracy=True):
 
 def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> Trajectory:
     """The stepping loop. Without ``epoch`` the step is GD's theta - eta*g, exactly the
-    next iterate, so a sample's rp, dir and identity residual are filled in one step
-    late and only the terminal sample looks ahead. ``epoch(theta)`` returns (the
-    iterate after an epoch, the minibatch steps taken, whether one went non-finite):
-    every sample then looks ahead, and a non-finite iterate ends the run diverged."""
+    next iterate, so a sample's rp, dir and tau sweep are finished one step late, after
+    the stop rule there (a sweep overwrites the logits it reads), and only the terminal
+    sample looks ahead. ``epoch(theta)`` returns (the iterate after an epoch, the
+    minibatch steps taken, whether one went non-finite): every sample then looks ahead,
+    and a non-finite iterate ends the run diverged."""
     theta = as_params(theta0, cost.dimension)
     samples: list = []
     iterates = [] if record else None
@@ -157,9 +156,6 @@ def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> 
     t, diverged = 0, False  # t: the steps taken, which label a sample
     for k in range(config.max_iter + 1):
         loss, g = cost.value_and_gradient(theta)
-        if owed:
-            M._finish_step(*owed, loss, g, config.eta, flags)
-            owed = None
         gnorm = M._norm(g)
         step = M._step(g, gnorm, config.eta)
         if record:
@@ -168,13 +164,17 @@ def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> 
         outcome = OUTCOME_DIVERGED if diverged else (
             _stop_rule(cost, theta, loss, gnorm, config, at_cadence) or OUTCOME_BUDGET)
         terminal = outcome != OUTCOME_BUDGET or k == config.max_iter
-        if at_cadence or terminal:
-            try:
+        try:
+            if owed:
+                M._finish_step(*owed, loss, g, config.eta, flags)
+                owed = None
+            if at_cadence or terminal:
                 sample, owed = M._sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
                                             flags, terminal or epoch is not None, erp)
-            except Exception as exc:
-                raise RuntimeError(f"metric evaluation failed at iteration {t}") from exc
-            samples.append(sample)
+                samples.append(sample)
+        except Exception as exc:
+            failed_at = owed[2].iteration if owed else t
+            raise RuntimeError(f"metric evaluation failed at iteration {failed_at}") from exc
         if terminal:
             break
         if epoch is None:

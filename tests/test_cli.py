@@ -375,7 +375,7 @@ def test_sgd_run_writes_sharpness_identity_and_tau_columns(tmp_path):
     cfg = tmp_path / "sgd-metrics.cfg"
     cfg.write_text(MLP_CFG.replace("hidden = 4", "hidden = 4\nactivation = relu")
                    .replace("max_iter = 2", "max_iter = 2\nalgorithm = sgd\nbatch_size = 4")
-                   + "\n[metrics]\nsharpness = true\nidentity = true\ntau_sweep = true\n"
+                   + "\n[metrics]\nsharpness = true\ntau_sweep = true\n"
                    "\n[output]\npath = sgd-metrics.csv\n")
     assert cli.main(["run", str(cfg), "--outdir", str(tmp_path)]) == 0
     text = (tmp_path / "sgd-metrics.csv").read_text()

@@ -132,8 +132,9 @@ CIFAR = MLP.replace("n = 16\nd = 3\nclasses = 2\nspread = {spread}\n",
 @pytest.mark.parametrize("template, section, key, value", [
     pytest.param(QUAD, "optimizer", "blowup_threshold", "1e12", id="blowup_threshold"),
     pytest.param(MLP, "cost", "normalize_eps", "0", id="normalize_eps"),
-    pytest.param(QUAD + "\n[metrics]\nidentity = true\n", "metrics", "tau_points", "abc",
+    pytest.param(QUAD + "\n[metrics]\ntau_sweep = true\n", "metrics", "tau_points", "abc",
                  id="tau_points"),
+    pytest.param(QUAD + "\n[metrics]\n", "metrics", "identity", "true", id="identity"),
     pytest.param(QUAD + "\n[metrics]\n", "metrics", "tau_points", "0", id="tau_points-zero"),
     pytest.param(QUAD, "experiment", "colour", "red", id="experiment"),
     pytest.param(QUAD + "\n[output]\n", "output", "pth", "run.csv", id="output"),
@@ -182,3 +183,14 @@ def test_a_key_the_algorithm_does_not_read_exits_2(template, section, key, value
     code, err = _exit_code(template, "eta", GOOD["eta"])
     assert code == 2, err
     assert f"{section}.{key}: read by" in err, err
+
+
+def test_expected_rp_without_rp_exits_2():
+    # expected rp is written to the rp column; with rp = false it used to fill that column
+    # anyway, and a MetricFlags refusal outside the spec parser would exit 1
+    metrics = SGD + "\n[metrics]\nexpected_rp = true\nexpected_rp_batches = 2\n"
+    assert _exit_code(metrics, "eta", GOOD["eta"])[0] == 0
+    code, err = _exit_code(metrics.replace("[metrics]\n", "[metrics]\nrp = false\n"),
+                           "eta", GOOD["eta"])
+    assert code == 2, err
+    assert "metrics:" in err and "expected_rp" in err, err

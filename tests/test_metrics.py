@@ -227,6 +227,11 @@ def test_grid_validation():
         QuadratureGrid(np.array([0.5, 1.5]))
     with pytest.raises(ContractViolation):  # ends short of tau = 1
         QuadratureGrid(np.array([0.3, 0.7]))
+    with pytest.raises(ContractViolation):  # a NaN node failed later, as a zero direction
+        QuadratureGrid(np.array([0.5, np.nan, 1.0]))
+    for points in (0, -2, 2.5):  # 0 raised ZeroDivisionError
+        with pytest.raises(ContractViolation):
+            QuadratureGrid.default(points)
 
 
 # --- the rp/dir identity -------------------------------------------------------
@@ -287,6 +292,17 @@ def test_identity_sides_equal_the_standalone_metrics(mid_training_mlp):
         assert check.rhs == -1.0 + 0.5 * eta * metrics._weighted_integral(
             taus, _sweep(net, theta, eta, taus))
         assert check.residual == abs(check.lhs - check.rhs)
+
+
+def test_verify_identity_evaluates_each_point_once(mid_training_mlp):
+    # theta and theta - eta*g by value_and_gradient each: the second gives rp's loss and
+    # the gradient of the node tau = 1, so the default 100-node grid costs 99 gradients
+    net, theta = mid_training_mlp
+    cost = CountingCost(net)
+    check = verify_identity(cost, theta, 2 / 60)
+    assert cost.calls == {"value": 0, "gradient": 99, "value_and_gradient": 2,
+                          "stochastic_gradient": 0}
+    assert check == verify_identity(net, theta, 2 / 60)
 
 # --- single-tau approximation --------------------------------------------------
 

@@ -62,7 +62,7 @@ def test_a_step_that_overflows_or_underflows_leaves_rp_dir_and_identity_undefine
     # eta*g overflows to inf, or eta*g . eta*g underflows to 0: undefined, not NaN or an abort
     q = Quadratic(np.diag([1.0, 0.0]))
     traj = gd_run(q, [3.0, 1.0], OptimizerConfig(eta=eta, max_iter=5),
-                  MetricFlags(identity=True, tau_sweep=True))
+                  MetricFlags(tau_sweep=True))
     first = traj.samples[0]
     assert first.loss == 4.5 and first.grad_norm == 3.0
     assert (first.rp, first.dir, first.identity_residual, first.tau_dir_mean) == (None,) * 4
@@ -133,6 +133,35 @@ def test_metric_flags_refuse_fewer_than_one_expected_rp_batch():
         with pytest.raises(ContractViolation):
             MetricFlags(expected_rp=True, expected_rp_batches=bad)
     assert MetricFlags(expected_rp=True, expected_rp_batches=1).expected_rp_batches == 1
+
+
+def test_metric_flags_refuse_expected_rp_without_rp():
+    # expected rp is recorded in the rp column, which rp = False used to fill regardless
+    with pytest.raises(ContractViolation, match="needs rp"):
+        MetricFlags(rp=False, dir=False, expected_rp=True)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: OptimizerConfig(eta=0.1, max_iter=2.5), id="max_iter"),
+    pytest.param(lambda: OptimizerConfig(eta=0.1, max_iter=20.0), id="max_iter-float"),
+    pytest.param(lambda: OptimizerConfig(eta=0.1, metric_cadence=2.5), id="metric_cadence"),
+    pytest.param(lambda: OptimizerConfig(eta=0.1, batch_size=8.5), id="batch_size"),
+    pytest.param(lambda: OptimizerConfig(eta=0.1, batch_size="8"), id="batch_size-str"),
+    pytest.param(lambda: MetricFlags(expected_rp=True, expected_rp_batches=2.5),
+                 id="expected_rp_batches"),
+])
+def test_integer_fields_refuse_non_integers(make):
+    # metric_cadence 2.5 sampled at iterations 0, 5, 10, ...; max_iter and batch_size
+    # 2.5 or 8.5 failed in range(), and expected_rp_batches 2.5 inside the first draw
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        make()
+
+
+def test_integer_fields_take_numpy_integers():
+    config = OptimizerConfig(eta=0.1, max_iter=np.int64(3), metric_cadence=np.int32(2),
+                             batch_size=np.uint8(4))
+    assert config.cadence_for(Quadratic(np.eye(2))) == 2
+    assert MetricFlags(expected_rp_batches=np.int64(5)).expected_rp_batches == 5
 
 
 # --- SGD -------------------------------------------------------------------
@@ -305,7 +334,7 @@ def test_sgd_records_sharpness_identity_and_tau_sweep():
     net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
     config = OptimizerConfig(eta=0.3, max_iter=3, batch_size=8, seed=4)
     traj = sgd_run(net, net.init_params(1), config,
-                   MetricFlags(sharpness=True, identity=True, tau_sweep=True),
+                   MetricFlags(sharpness=True, tau_sweep=True),
                    record_checkpoints=True)
     assert len(traj.samples) == 4
     for s, theta in zip(traj.samples, traj.iterates):
@@ -398,17 +427,40 @@ class _SkewHvp(Quadratic):
         return np.array([[10.0, 5.0], [0.0, 9.99]]) @ v
 
 
-def test_metric_evaluation_errors_name_the_iteration():
+class _SweepFails(Quadratic):
+    """An iterate's own evaluation (value_and_gradient) succeeds; any other gradient call
+    fails once 99 have been made, the tau sweep of one sample."""
+
+    calls = 0
+
+    def value_and_gradient(self, theta):
+        return self.value(theta), super().gradient(theta)
+
+    def gradient(self, theta):
+        self.calls += 1
+        if self.calls > 99:
+            raise FloatingPointError("gradient failed")
+        return super().gradient(theta)
+
+
+@pytest.mark.parametrize("cost, flags, where", [
     # an uncertifiable sharpness estimate aborts the run; the abort must say where
-    q = _SkewHvp(np.diag([10.0, 9.99]))
-    flags = MetricFlags(rp=False, dir=False, sharpness=True)
-    with pytest.raises(RuntimeError, match="iteration 0"):
-        gd_run(q, [1.0, 1.0], OptimizerConfig(eta=0.01, max_iter=5), flags)
+    pytest.param(_SkewHvp(np.diag([10.0, 9.99])),
+                 MetricFlags(rp=False, dir=False, sharpness=True), 0, id="sharpness"),
+    # the sweep of the sample at iteration 3 runs at iteration 4, deferred to the next
+    # iterate; its failure still names the sample's iteration
+    pytest.param(_SweepFails(np.diag([10.0, 9.99])),
+                 MetricFlags(rp=False, dir=False, tau_sweep=True), 3, id="deferred-sweep"),
+])
+def test_metric_evaluation_errors_name_the_iteration(cost, flags, where):
+    config = OptimizerConfig(eta=0.01, max_iter=8, metric_cadence=3)
+    with pytest.raises(RuntimeError, match=f"failed at iteration {where}$"):
+        gd_run(cost, [1.0, 1.0], config, flags)
 
 
 def test_identity_and_tau_sweep_flags_recorded():
     q = Quadratic(np.diag([12.0, 3.0]))
-    flags = MetricFlags(identity=True, tau_sweep=True)
+    flags = MetricFlags(tau_sweep=True)
     traj = gd_run(q, [1.0, 0.5], OptimizerConfig(eta=0.05, max_iter=10), flags)
     s = traj.samples[1]
     assert s.identity_residual is not None and s.identity_residual <= 1e-12
@@ -528,30 +580,12 @@ def test_gd_evaluates_once_per_iterate(flags, cadence, extra):
     assert net.evaluations == steps + 1 + extra
 
 
-@pytest.mark.parametrize("algorithm", ["gd", "sgd"])
-def test_identity_and_tau_sweep_share_one_sweep(algorithm):
-    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    counts = []
-    for tau_sweep in (False, True):
-        net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
-        flags = MetricFlags(identity=True, tau_sweep=tau_sweep)
-        run = gd_run if algorithm == "gd" else sgd_run
-        run(net, net.init_params(1),
-            OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8), flags)
-        counts.append(net.evaluations)
-    # gd: 13 iterates and the terminal look-ahead; sgd: 13 epoch samples, each with its
-    # look-ahead. Every sample adds one gradient per node of the 100-node tau grid; the
-    # identity's left side is the next iterate's loss, which is evaluated anyway.
-    evaluated, samples = (13 + 1, 4) if algorithm == "gd" else (13 * 2, 13)
-    assert counts == [evaluated + samples * 100] * 2
-
-
 @pytest.mark.parametrize("rp_dir", [True, False])
 @pytest.mark.parametrize("algorithm", ["gd", "sgd"])
 def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorithm, rp_dir):
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
     net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
-    flags = MetricFlags(rp=rp_dir, dir=rp_dir, identity=True)
+    flags = MetricFlags(rp=rp_dir, dir=rp_dir, tau_sweep=True)
     config = OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8)
     if algorithm == "gd":
         traj = gd_run(net, net.init_params(1), config, flags, record_iterates=True)
@@ -559,20 +593,23 @@ def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorit
     else:
         traj = sgd_run(net, net.init_params(1), config, flags, record_checkpoints=True)
         thetas = traj.iterates
-    # the same count with rp and dir off: the identity alone owes the look-ahead
-    assert net.evaluations == (13 + 1 + 4 * 100 if algorithm == "gd" else 13 * 2 + 13 * 100)
+    # the same count with rp and dir off: the sweep alone owes the look-ahead, whose
+    # gradient is its last node, so each sample adds 99 gradients for the 100-node grid
+    assert net.evaluations == (13 + 1 + 4 * 99 if algorithm == "gd" else 13 * 2 + 13 * 99)
     assert len(traj.samples) == (4 if algorithm == "gd" else 13)
     for s, theta in zip(traj.samples, thetas, strict=True):
         assert s.identity_residual == verify_identity(net, theta, 0.5).residual
         assert (s.rp is not None) == rp_dir and (s.dir is not None) == rp_dir
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["quiet", "tau-sweep"])
 @pytest.mark.parametrize("algorithm", ["gd", "sgd"])
 @pytest.mark.parametrize("stop_accuracy, outcome", [(1.0, "budget_exhausted"),
                                                     (0.8, "converged")])
 def test_the_accuracy_stop_rule_runs_no_forward_pass_of_its_own(
-        monkeypatch, algorithm, stop_accuracy, outcome):
-    # the stop rule reads the logits the iterate's own evaluation just computed
+        monkeypatch, algorithm, stop_accuracy, outcome, sweep):
+    # the stop rule reads the logits the iterate's own evaluation just computed; GD
+    # finishes a sample's tau sweep, whose gradients overwrite them, after that rule
     ds = synth_dataset(SynthSpec(n=64, d=4, classes=3, cluster_spread=0.6, seed=2))
     net = MLPCost(ds, hidden_sizes=(8,), activation="tanh")
     forwards, accuracies = [], []
@@ -582,13 +619,18 @@ def test_the_accuracy_stop_rule_runs_no_forward_pass_of_its_own(
     config = OptimizerConfig(eta=0.5, max_iter=40, metric_cadence=1,
                              stop_accuracy=stop_accuracy,
                              batch_size=64 if algorithm == "sgd" else None)
+    flags = MetricFlags(rp=False, dir=False, tau_sweep=sweep)
     if algorithm == "gd":
-        traj = gd_run(net, net.init_params(0), config, QUIET)
+        traj = gd_run(net, net.init_params(0), config, flags)
         evaluations = traj.samples[-1].iteration + 1  # one value_and_gradient per iterate
     else:
-        traj = sgd_run(net, net.init_params(0), config, QUIET)
+        traj = sgd_run(net, net.init_params(0), config, flags)
         # per epoch: one minibatch gradient and the epoch sample's evaluation
         evaluations = 1 + 2 * (len(traj.samples) - 1)
+    if sweep:
+        # 99 gradients a sample, and the look-ahead of GD's terminal sample, or of each
+        # SGD sample, whose gradient is the sweep's last node
+        evaluations += 99 * len(traj.samples) + (1 if algorithm == "gd" else len(traj.samples))
     assert traj.outcome == outcome
     assert len(accuracies) == len(traj.samples)
     assert len(forwards) == evaluations
