@@ -43,10 +43,10 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.uint64(seed))
 
 
-def as_count(x, name: str, minimum: int = 1) -> int:
-    """Validate a count: an integer of at least ``minimum``, numpy integers included."""
-    if not isinstance(x, numbers.Integral) or x < minimum:
-        raise ContractViolation(f"{name} must be an integer >= {minimum}, got {x!r}")
+def as_count(x, name: str) -> int:
+    """Validate a count: an integer of at least 1, numpy integers included."""
+    if not isinstance(x, numbers.Integral) or x < 1:
+        raise ContractViolation(f"{name} must be an integer >= 1, got {x!r}")
     return int(x)
 
 

@@ -233,8 +233,8 @@ def verify_identity(cost: CostFunction, theta, eta: float,
 
 
 def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=False, erp=None):
-    """The sample at iterate t, and what it owes: None, or ``_finish_step``'s first
-    arguments, as rp, dir and the tau sweep wait on the loss and gradient at
+    """The sample at iterate t, and what it owes: None, or ``_finish_step``'s arguments
+    after the cost, as rp, dir and the tau sweep wait on the loss and gradient at
     theta - step, step = eta*g. With ``look_ahead`` it evaluates theta - step itself and
     owes nothing; with ``erp`` = (batch_size, seed generator), rp holds expected rp, so
     the step is evaluated only for dir or the sweep."""
@@ -249,9 +249,9 @@ def _sample_at(cost, theta, t, loss, g, gnorm, step, eta, flags, look_ahead=Fals
     if flags.sharpness and math.isfinite(loss):
         # the value only: the estimate's Ritz vector is not kept per sample
         sample.sharpness = float(sharpness(cost, theta))
-    owes = (cost, theta, sample, step, step_sq, g) if step_sq is not None and needs_step else None
+    owes = (theta, sample, step, step_sq, g) if step_sq is not None and needs_step else None
     if owes is not None and look_ahead:
-        _finish_step(*owes, *cost.value_and_gradient(theta - step), eta, flags)
+        _finish_step(cost, *owes, *cost.value_and_gradient(theta - step), eta, flags)
         owes = None
     if step_sq is not None and erp:
         try:

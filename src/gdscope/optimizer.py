@@ -166,14 +166,14 @@ def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> 
         terminal = outcome != OUTCOME_BUDGET or k == config.max_iter
         try:
             if owed:
-                M._finish_step(*owed, loss, g, config.eta, flags)
+                M._finish_step(cost, *owed, loss, g, config.eta, flags)
                 owed = None
             if at_cadence or terminal:
                 sample, owed = M._sample_at(cost, theta, t, loss, g, gnorm, step, config.eta,
                                             flags, terminal or epoch is not None, erp)
                 samples.append(sample)
         except Exception as exc:
-            failed_at = owed[2].iteration if owed else t
+            failed_at = owed[1].iteration if owed else t
             raise RuntimeError(f"metric evaluation failed at iteration {failed_at}") from exc
         if terminal:
             break

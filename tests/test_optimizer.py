@@ -443,19 +443,19 @@ class _SweepFails(Quadratic):
         return super().gradient(theta)
 
 
-@pytest.mark.parametrize("cost, flags, where", [
+@pytest.mark.parametrize("make_cost, flags, where", [
     # an uncertifiable sharpness estimate aborts the run; the abort must say where
-    pytest.param(_SkewHvp(np.diag([10.0, 9.99])),
+    pytest.param(lambda: _SkewHvp(np.diag([10.0, 9.99])),
                  MetricFlags(rp=False, dir=False, sharpness=True), 0, id="sharpness"),
     # the sweep of the sample at iteration 3 runs at iteration 4, deferred to the next
     # iterate; its failure still names the sample's iteration
-    pytest.param(_SweepFails(np.diag([10.0, 9.99])),
+    pytest.param(lambda: _SweepFails(np.diag([10.0, 9.99])),
                  MetricFlags(rp=False, dir=False, tau_sweep=True), 3, id="deferred-sweep"),
 ])
-def test_metric_evaluation_errors_name_the_iteration(cost, flags, where):
+def test_metric_evaluation_errors_name_the_iteration(make_cost, flags, where):
     config = OptimizerConfig(eta=0.01, max_iter=8, metric_cadence=3)
     with pytest.raises(RuntimeError, match=f"failed at iteration {where}$"):
-        gd_run(cost, [1.0, 1.0], config, flags)
+        gd_run(make_cost(), [1.0, 1.0], config, flags)
 
 
 def test_identity_and_tau_sweep_flags_recorded():
