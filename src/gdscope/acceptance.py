@@ -107,20 +107,20 @@ def rp_dir_identity() -> CriterionResult:
     worst_quad = 0.0
     worst_other = 0.0
     refinement_ok = True
+    finer = M.QuadratureGrid(2 * M.TAU_NODES)
     for cost, theta, eta, is_quad in _identity_pool(rng):
         res = M.verify_identity(cost, theta, eta).residual
         if is_quad:
             worst_quad = max(worst_quad, res)
         else:
             worst_other = max(worst_other, res)
-            res50 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(50)).residual
-            res200 = M.verify_identity(cost, theta, eta, M.QuadratureGrid.default(200)).residual
-            refinement_ok &= res200 <= res50 + 1e-12
-    ok = worst_quad <= 1e-10 and worst_other <= 1e-3 and refinement_ok
+            refinement_ok &= M.verify_identity(cost, theta, eta, finer).residual <= res + 1e-12
+    ok = worst_quad <= 1e-10 and worst_other <= 1e-10 and refinement_ok
     measured = (f"max_residual quadratic={worst_quad:.2e} other={worst_other:.2e} "
                 f"refinement_monotone={refinement_ok}")
     return _result("rp-dir-identity", measured,
-                   "quadratic<=1e-10, other<=1e-3, residual shrinks at 200 vs 50 nodes", ok)
+                   f"quadratic<=1e-10, other<=1e-10, no worse at {2 * M.TAU_NODES} "
+                   f"than {M.TAU_NODES} nodes", ok)
 
 
 def edge_oscillation() -> CriterionResult:

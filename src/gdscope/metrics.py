@@ -13,11 +13,11 @@ the iterates oscillate. They are tied together by an exact identity,
 
     rp(theta) = -1 + (eta/2) * 2 * integral_0^1 tau * dir_{eta*tau*grad}(theta) dtau,
 
-which this module verifies numerically by trapezoidal quadrature on a tau
-grid, with the tau -> 0 endpoint linearly extrapolated from the two smallest
-grid points. Sharpness (largest Hessian eigenvalue) is estimated matrix-free
-by Lanczos with a certified Ritz residual; along a step segment each point
-is warm-started from the previous point's Ritz vector.
+which this module verifies numerically by the Gauss-Radau rule of
+``QuadratureGrid`` on TAU_NODES = 16 tau nodes, the last at tau = 1.
+Sharpness (largest Hessian eigenvalue) is estimated matrix-free by Lanczos
+with a certified Ritz residual; along a step segment each point is
+warm-started from the previous point's Ritz vector.
 
 One rule says where the step eta*g from theta is measurable, for the trace's
 sampler ``_sample_at`` (which leaves the step's fields empty) and for every
@@ -41,7 +41,7 @@ call's points are evaluated. A ``grad_sampler``'s k samples come as one
 stack. The pair is taken one way: ``expected_rp`` leaves its draw's
 one-node RHS in a one-entry slot, which the next ``expected_rp_rhs`` call
 takes, and clears, when its key is equal (the same cost and sampler objects,
-theta's bytes, eta, batch_size, num_batches, seed and the one-node grid);
+theta's bytes, eta, batch_size, num_batches, seed and the grid's node count);
 any other call draws afresh. The slot holds weak references only, and
 assumes that a cost (and a sampler) is not mutated between the two calls.
 
@@ -55,6 +55,7 @@ import contextlib
 import math
 import weakref
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -63,8 +64,8 @@ from .costs import CostFunction, as_count, as_params, as_rng
 from .errors import ContractViolation, NearStationaryError, PowerIterationError, ZeroDirectionError
 
 GRAD_FLOOR_COEFF = 1e-12
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+TAU_NODES = 16  # the tau sweep's grid: a sweep costs TAU_NODES - 1 gradients
+MAX_TAU_NODES = 128  # the largest grid built: its rule is checked exact up to here
 
 
 def grad_floor(loss: float) -> float:
@@ -89,34 +90,47 @@ class MetricSample:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Strictly increasing tau nodes in (0, 1], the last one 1, for the dir-integral quadrature.
+    """The Gauss-Radau rule of ``points`` nodes for integral_0^1 2*tau*f(tau) dtau.
 
-    The identity integrates over [0, 1], so a grid ending short of 1 would
-    integrate a different quantity, and no refinement of it converges; the
-    node tau = 1 is the full step, whose gradient the paired draw already has.
+    Its integral of f is ``f(taus) @ weights``, exact for f a polynomial of degree
+    <= 2 * points - 2, with positive weights that sum to 1. Its last node is tau = 1,
+    the full step, whose gradient the step's own evaluation already has; the others
+    are the roots of P_n' (Legendre, n = points) mapped from [-1, 1] to (0, 1). The
+    one-node rule is {1} with weight 1.
     """
 
-    taus: np.ndarray
+    points: int
 
     def __post_init__(self):
-        taus = np.ascontiguousarray(self.taus, dtype=np.float64)
-        if taus.ndim != 1 or taus.size == 0:
-            raise ContractViolation("tau grid must be a nonempty 1-D sequence")
-        # negated, so that a NaN node, for which every comparison is false, fails too
-        if not (taus[0] > 0.0 and taus[-1] == 1.0 and np.all(np.diff(taus) > 0.0)):
-            raise ContractViolation("tau grid must be strictly increasing within (0, 1] "
-                                    "and end at 1")
-        taus.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
+        if as_count(self.points, "points") > MAX_TAU_NODES:
+            raise ContractViolation(f"points must be at most {MAX_TAU_NODES}, got {self.points}")
 
-    @classmethod
-    def default(cls, points: int = 100) -> "QuadratureGrid":
-        points = as_count(points, "points")
-        return cls(np.linspace(1.0 / points, 1.0, points))
+    @cached_property
+    def _rule(self):
+        """(taus, weights), read-only, built on first use: a run without a sweep builds none."""
+        n = self.points
+        # Newton's method on x P_n - P_{n-1} = -(1 - x^2) P_n' / n, derivative (n + 1) P_n, from
+        # the Chebyshev points: x = 1 stays put, and eight steps reach the roots of P_n' for each
+        # n <= MAX_TAU_NODES (five suffice). Unlike an eigensolver it calls no LAPACK routine.
+        x = -np.cos(np.pi * np.arange(1, n + 1) / n)
+        for _ in range(8):
+            before, legendre = np.ones(n), x  # P_0 and P_1 at x, then up to P_n
+            for k in range(1, n):
+                before, legendre = legendre, ((2 * k + 1) * x * legendre - k * before) / (k + 1)
+            x = x - (x * legendre - before) / ((n + 1) * legendre)
+        taus = (x + 1.0) / 2.0
+        # the Gauss-Lobatto weights 2 / (n (n+1) P_n(x)^2) of -1 and x, times 2*tau dtau / dx
+        weights = 2.0 * taus / (n * (n + 1) * legendre**2)
+        for rule in (taus, weights):
+            rule.setflags(write=False)
+        return taus, weights
+
+    taus = property(lambda self: self._rule[0], doc="The nodes, increasing in (0, 1], the last 1.")
+    weights = property(lambda self: self._rule[1], doc="The weights, positive, summing to 1.")
 
 
-_ONE_NODE = QuadratureGrid.default(1)  # tau = 1 alone: dir at the full step
-_DEFAULT_GRID = QuadratureGrid.default()
+_ONE_NODE = QuadratureGrid(1)  # tau = 1 alone: dir at the full step
+_DEFAULT_GRID = QuadratureGrid(TAU_NODES)
 METRIC_FIELDS = tuple(f.name for f in fields(MetricSample))[1:]  # a trace's columns after iter
 
 
@@ -197,37 +211,15 @@ def _dir_along(cost, theta, g_at_theta, direction, eta, taus, g_at_end):
     return out
 
 
-def _weighted_integral(taus, dirs):
-    """Trapezoid of g(tau) = 2*tau*dir(tau), with g(0) linearly extrapolated.
-
-    ``dirs`` holds one tau sweep along its last axis; a (k, len(taus)) stack of
-    sweeps gives k integrals, each with the bits of its own 1-D call, and a
-    single sweep gives a float. With the single grid point tau = 1 the
-    extrapolation degenerates to treating dir as constant, i.e. g(0) = 0 and
-    the integral is dir(1).
-    """
-    g = 2.0 * taus * dirs
-    if taus.shape[0] >= 2:
-        g0 = g[..., :1] - taus[0] * (g[..., 1:2] - g[..., :1]) / (taus[1] - taus[0])
-    else:
-        g0 = np.zeros_like(g[..., :1])
-    out = _trapz(np.concatenate((g0, g), axis=-1), np.concatenate(([0.0], taus)), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _identity_rhs(eta, taus, dirs):
-    """The identity's right side -1 + (eta/2) * weighted integral, from the tau sweep ``dirs``."""
-    return -1.0 + 0.5 * eta * _weighted_integral(taus, dirs)
-
-
 def verify_identity(cost: CostFunction, theta, eta: float,
                     grid: QuadratureGrid | None = None) -> IdentityCheck:
     """Compare rp against -1 + (eta/2) * weighted dir integral. One ``value_and_gradient``
     at theta - eta*g gives both rp's loss and the gradient of the last node, tau = 1."""
-    taus = (grid or _DEFAULT_GRID).taus
+    grid = grid or _DEFAULT_GRID
     theta, loss, g, gnorm, step, _ = _measured(cost, theta, eta)
     next_loss, next_g = cost.value_and_gradient(theta - step)
-    rhs = _identity_rhs(eta, taus, _dir_along(cost, theta, g, g, eta, taus, next_g))
+    dirs = _dir_along(cost, theta, g, g, eta, grid.taus, next_g)
+    rhs = -1.0 + 0.5 * eta * float(dirs @ grid.weights)
     lhs = (next_loss - loss) / (eta * gnorm**2)
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
@@ -274,8 +266,9 @@ def _finish_step(cost, theta, sample, step, step_sq, g, next_loss, next_g, eta, 
         sample.dir = float(step @ (g - next_g)) / step_sq
     if flags.tau_sweep:
         dirs = _dir_along(cost, theta, g, g, eta, _DEFAULT_GRID.taus, next_g)
-        sample.identity_residual = abs(rp - _identity_rhs(eta, _DEFAULT_GRID.taus, dirs))
-        sample.tau_dir_mean, sample.tau_dir_std = float(np.mean(dirs)), float(np.std(dirs))
+        sample.tau_dir_mean = mean = float(dirs @ _DEFAULT_GRID.weights)  # the integral
+        sample.tau_dir_std = math.sqrt((dirs - mean) ** 2 @ _DEFAULT_GRID.weights)
+        sample.identity_residual = abs(rp - (-1.0 + 0.5 * eta * mean))
 
 
 # --- sharpness ---------------------------------------------------------------
@@ -437,17 +430,17 @@ def _mean_and_stderr(samples):
 
 
 def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed,
-                 grad_sampler=None, taus=_ONE_NODE.taus, lhs_only=False):
+                 grad_sampler=None, grid=_ONE_NODE, lhs_only=False):
     """Both expected-rp estimates from one draw: (lhs, rhs), each (estimate, stderr).
 
     Takes theta's loss, gradient g and ||g|| from the caller, at a measurable
     step; draws the gradient samples g_b once, chunk by chunk (in the rng order
     of ``_batch_gradients``), and makes one ``value_and_gradient`` at each
     theta - eta*g_b: its value is the LHS sample and its gradient serves the
-    RHS node tau = 1, the last of every grid; any other node of ``taus`` is
+    RHS node tau = 1, the last of every grid; any other node of ``grid`` is
     evaluated by ``gradient``. A chunk's points are evaluated, and the chunk
     dropped, before the next is taken, so at most min(k, n // b) g_b are held.
-    The tau sweeps are kept as (k, len(taus)) rows and integrated in one call.
+    Each tau sweep is integrated as it is taken.
     ``rhs`` is None when some g_b is zero, so that dir is undefined, and with
     ``lhs_only``, which skips the RHS: each point then costs one ``value``.
     Raises ``ZeroDirectionError`` when some ||g_b||^2 or ||eta*g_b||^2 is not
@@ -459,7 +452,7 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
     scale = eta * gnorm**2
     lhs = np.empty(num_batches)
     sq_norms = np.empty(num_batches)
-    dirs = None if lhs_only else np.empty((num_batches, taus.shape[0]))
+    integrals = None if lhs_only else np.empty(num_batches)
     start = 0
     for grads in _batch_gradients(cost, theta, batch_size, num_batches, rng, grad_sampler):
         with np.errstate(over="ignore"):  # a norm that overflows is inf, refused here, unwarned
@@ -468,22 +461,22 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
             raise ZeroDirectionError("a sample step's norm is not finite: expected rp undefined")
         for i, gb in enumerate(grads, start):
             point = theta - eta * gb
-            if dirs is None:
+            if integrals is None:
                 lhs[i] = (cost.value(point) - loss) / scale
                 continue
             value, g_end = cost.value_and_gradient(point)
             lhs[i] = (value - loss) / scale
             try:
-                dirs[i] = _dir_along(cost, theta, g, gb, eta, taus, g_end)
+                integrals[i] = _dir_along(cost, theta, g, gb, eta, grid.taus, g_end) @ grid.weights
             except ZeroDirectionError:
-                dirs = None
+                integrals = None
                 continue
             sq_norms[i] = float(gb @ gb)
         start += len(grads)
         del grads, gb  # so that the next chunk is not taken while this one is alive
-    if dirs is None:
+    if integrals is None:
         return _mean_and_stderr(lhs), None
-    est, err = _mean_and_stderr(sq_norms / gnorm**2 * _weighted_integral(taus, dirs))
+    est, err = _mean_and_stderr(sq_norms / gnorm**2 * integrals)
     return _mean_and_stderr(lhs), (-1.0 + 0.5 * eta * est, 0.5 * eta * err)
 
 
@@ -491,8 +484,8 @@ def _paired_draw(cost, theta, loss, g, gnorm, eta, batch_size, num_batches, seed
 _parked_rhs = None
 
 
-def _pair_key(theta, eta, batch_size, num_batches, seed, taus):
-    return theta.shape, theta.tobytes(), eta, batch_size, num_batches, seed, taus.tobytes()
+def _pair_key(theta, eta, batch_size, num_batches, seed, grid):
+    return theta.shape, theta.tobytes(), eta, batch_size, num_batches, seed, grid.points
 
 
 def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
@@ -515,7 +508,7 @@ def expected_rp(cost: CostFunction, theta, eta: float, batch_size: int,
     try:
         sampler_ref = None if grad_sampler is None else weakref.ref(grad_sampler)
         _parked_rhs = (weakref.ref(cost), sampler_ref,
-                       _pair_key(theta, eta, batch_size, num_batches, seed, _ONE_NODE.taus), rhs)
+                       _pair_key(theta, eta, batch_size, num_batches, seed, _ONE_NODE), rhs)
     except TypeError:  # not weakly referenceable: nothing is parked
         pass
     return lhs
@@ -526,9 +519,9 @@ def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
                     grad_sampler=None):
     """Monte Carlo estimate of -1 + (eta/2) * E[(||g||^2/||grad||^2) * dir_{eta*g}].
 
-    Default is the single-tau (tau=1) form, i.e. the one-node grid [1.0];
-    passing a grid switches to the exact integral form
-    2 * integral tau * dir_{eta*tau*g} dtau per sample. Raises
+    Default is the single-tau (tau=1) form, i.e. the one-node grid
+    ``QuadratureGrid(1)``; passing a wider grid switches to the integral form
+    2 * integral tau * dir_{eta*tau*g} dtau per sample, by that grid's rule. Raises
     ``ZeroDirectionError`` when a gradient sample is zero.
 
     Matching seeds with ``expected_rp`` mean identical samples. Right after an
@@ -537,16 +530,16 @@ def expected_rp_rhs(cost: CostFunction, theta, eta: float, batch_size: int,
     pair afresh and leaves nothing behind.
     """
     global _parked_rhs
-    taus = (grid or _ONE_NODE).taus
+    grid = grid or _ONE_NODE
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     parked, _parked_rhs = _parked_rhs, None
     if (parked is not None and parked[0]() is cost
             and (grad_sampler is None if parked[1] is None else parked[1]() is grad_sampler)
-            and parked[2] == _pair_key(theta, eta, batch_size, num_batches, seed, taus)):
+            and parked[2] == _pair_key(theta, eta, batch_size, num_batches, seed, grid)):
         rhs = parked[3]
     else:
         _, rhs = _paired_draw(cost, *_measured(cost, theta, eta)[:4], eta, batch_size,
-                              num_batches, seed, grad_sampler, taus)
+                              num_batches, seed, grad_sampler, grid)
     if rhs is None:
         raise ZeroDirectionError("direction norm is zero (or underflows): dir undefined")
     return rhs

@@ -77,8 +77,8 @@ class MetricFlags:
     rp: bool = True
     dir: bool = True
     sharpness: bool = False
-    tau_sweep: bool = False  # the 100-node sweep: tau_dir_mean/std and the identity residual
-    expected_rp: bool = False  # SGD epoch metric
+    tau_sweep: bool = False  # the 16-node Gauss-Radau sweep: tau_dir_mean/std, identity residual
+    expected_rp: bool = False  # SGD epoch metric; gd_run refuses it
     expected_rp_batches: int = 64
 
     def __post_init__(self):
@@ -155,7 +155,9 @@ def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> 
     owed = None  # what the last sample owes, waiting on the next iterate
     t, diverged = 0, False  # t: the steps taken, which label a sample
     for k in range(config.max_iter + 1):
-        loss, g = cost.value_and_gradient(theta)
+        # an overflow leaves a non-finite loss or gradient, which ends the run diverged: unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, g = cost.value_and_gradient(theta)
         gnorm = M._norm(g)
         step = M._step(g, gnorm, config.eta)
         if record:
@@ -189,9 +191,12 @@ def _run(cost, theta0, config, flags, cadence, record, epoch=None, erp=None) -> 
 def gd_run(cost: CostFunction, theta0, config: OptimizerConfig,
            flags: MetricFlags | None = None, record_iterates: bool = False) -> Trajectory:
     """Exact deterministic gradient descent, sampled every ``config.cadence_for(cost)``
-    iterations; the step eta*g serves both the metrics and the update."""
-    return _run(cost, theta0, config, flags or MetricFlags(), config.cadence_for(cost),
-                record_iterates)
+    iterations; the step eta*g serves both the metrics and the update. It refuses
+    ``expected_rp``, an SGD epoch metric."""
+    flags = flags or MetricFlags()
+    if flags.expected_rp:
+        raise ContractViolation("expected_rp is an SGD epoch metric: use sgd_run")
+    return _run(cost, theta0, config, flags, config.cadence_for(cost), record_iterates)
 
 
 def sgd_run(cost: CostFunction, theta0, config: OptimizerConfig,

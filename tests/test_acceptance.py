@@ -7,6 +7,7 @@ alongside the numerical bounds.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,15 +92,23 @@ def test_runtime_budgets(results):
         assert results[name].runtime_s < budget, f"{name} took {results[name].runtime_s}s"
 
 
-def test_fault_injection_breaks_identity_criterion(monkeypatch):
-    # a quadrature rule that drops the extrapolated tau = 0 node must be caught, and by
-    # the right criterion
-    def without_zero_node(taus, dirs):
-        out = metrics._trapz(2.0 * taus * dirs, taus, axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+def _trapezoid_extrapolated(taus, dirs):
+    """The trapezoid of 2*tau*dir(tau) over (0, taus), its tau = 0 end linearly
+    extrapolated from the first two nodes: the rule the tau sweep used before."""
+    g = 2.0 * taus * dirs
+    g0 = g[..., :1] - taus[0] * (g[..., 1:2] - g[..., :1]) / (taus[1] - taus[0])
+    y, x = np.concatenate((g0, g), axis=-1), np.concatenate(([0.0], taus))
+    return ((y[..., 1:] + y[..., :-1]) * np.diff(x) / 2.0).sum(axis=-1)
 
-    monkeypatch.setattr(metrics, "_weighted_integral", without_zero_node)
+
+def test_fault_injection_breaks_identity_criterion(monkeypatch):
+    # the 100-node trapezoid, a rule linear in dir, as the default grid: its 1.1e-5 of
+    # quadrature error must be caught, and by the right criterion
+    taus = np.linspace(0.01, 1.0, 100)
+    trapezoid = SimpleNamespace(taus=taus, weights=_trapezoid_extrapolated(taus, np.eye(100)))
+    monkeypatch.setattr(metrics, "_DEFAULT_GRID", trapezoid)
     broken = acceptance.rp_dir_identity()
     assert not broken.passed
     assert broken.name == "rp-dir-identity"
     assert "rp-dir-identity" in broken.report_line()
+    assert "other=1.13e-05" in broken.report_line()

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from gdscope import (
 )
 from gdscope.experiments import build_cost, load_preset
 
+from conftest import CountingCost
 from test_mlp import NETS
 
 
@@ -172,6 +177,15 @@ def _sweep(cost, theta, eta, taus):
     return np.array([directional_smoothness(cost, theta, (eta * tau) * g) for tau in taus])
 
 
+def _fine_trapezoid(cost, theta, eta, nodes):
+    """The weighted dir integral by the trapezoid on ``nodes`` equal steps of [0, 1]: an
+    oracle that shares no quadrature code with the package. Its tau = 0 end is exact,
+    as 2*tau*dir(tau) is 0 there."""
+    taus = np.arange(1, nodes + 1) / nodes
+    f = 2.0 * taus * _sweep(cost, theta, eta, taus)
+    return (f.sum() - f[-1] / 2.0) / nodes
+
+
 def test_integral_exact_for_constant_dir():
     cost = Quadratic(np.diag([40.0, 2.0]))
     got = _integral(cost, [1.0, 0.0], 2 / 40)
@@ -179,13 +193,13 @@ def test_integral_exact_for_constant_dir():
 
 
 def test_integral_cubic_against_brute_force_riemann():
+    # dir is linear in tau on the cubic, so the default rule integrates it exactly
     cost = Cubic()
     theta, eta = np.array([1.0]), 0.1
-    n = 100_000
-    grid = QuadratureGrid(np.linspace(1.0 / n, 1.0, n))
-    got = _integral(cost, theta, eta, grid)
+    got = _integral(cost, theta, eta)
 
     # brute-force midpoint Riemann sum in independent scalar arithmetic
+    n = 100_000
     grad0 = 3.0 * theta[0] ** 2
     total = 0.0
     for k in range(n):
@@ -193,45 +207,49 @@ def test_integral_cubic_against_brute_force_riemann():
         v = eta * tau * grad0
         dir_v = (grad0 - 3.0 * (theta[0] - v) ** 2) / v
         total += 2.0 * tau * dir_v / n
-    assert got == pytest.approx(total, abs=1e-6)
+    assert got == pytest.approx(total, abs=1e-9)
 
 
 def test_integral_single_node_grid_degenerate_rule():
     cost = Quadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([1.0, 0.0]), 0.01
     dir_at_one = directional_smoothness(cost, theta, eta * cost.gradient(theta))
-    got = _integral(cost, theta, eta, QuadratureGrid(np.array([1.0])))
+    got = _integral(cost, theta, eta, QuadratureGrid(1))
     assert got == pytest.approx(2 * 0.5 * dir_at_one, abs=1e-12)
+    # the node tau = 1 with weight 1, exactly: the one-node expected-rp RHS keeps its bits
+    assert QuadratureGrid(1).taus.tolist() == QuadratureGrid(1).weights.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("nodes", [1, 2, 5, 40])
-def test_integral_of_a_sweep_stack_is_each_sweep_bit_for_bit(nodes):
-    # one call over (k, nodes) sweeps serves a whole Monte Carlo draw
-    taus = QuadratureGrid.default(nodes).taus
-    dirs = np.random.default_rng(nodes).standard_normal((7, nodes))
-    got = metrics._weighted_integral(taus, dirs)
-    assert got.shape == (7,)
-    want = [metrics._weighted_integral(taus, row) for row in dirs]
-    assert all(isinstance(w, float) for w in want)
-    assert got.tolist() == want
+@pytest.mark.parametrize("points", [1, 2, 3, 5, 16, 40, 128])
+def test_the_rule_is_exact_on_monomials_up_to_degree_2n_minus_2(points):
+    # against the closed moments integral_0^1 2*tau * tau^k dtau = 2/(k+2); the worst
+    # error over n = 1..128 is 6.7e-16
+    grid = QuadratureGrid(points)
+    taus, weights = grid.taus, grid.weights
+    assert taus.shape == weights.shape == (points,)
+    assert taus[0] > 0.0 and np.all(np.diff(taus) > 0.0) and taus[-1] == 1.0
+    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-15
+    for k in range(2 * points - 1):
+        assert abs(weights @ taus**k - 2.0 / (k + 2)) <= 2e-15, k
 
 
 def test_grid_validation():
-    with pytest.raises(ContractViolation):
-        QuadratureGrid(np.array([]))
-    with pytest.raises(ContractViolation):
-        QuadratureGrid(np.array([0.0, 0.5]))
-    with pytest.raises(ContractViolation):
-        QuadratureGrid(np.array([0.5, 0.5]))
-    with pytest.raises(ContractViolation):
-        QuadratureGrid(np.array([0.5, 1.5]))
-    with pytest.raises(ContractViolation):  # ends short of tau = 1
-        QuadratureGrid(np.array([0.3, 0.7]))
-    with pytest.raises(ContractViolation):  # a NaN node failed later, as a zero direction
-        QuadratureGrid(np.array([0.5, np.nan, 1.0]))
-    for points in (0, -2, 2.5):  # 0 raised ZeroDivisionError
+    # a grid is built from its node count alone: node arrays are refused, as are counts
+    # that are not integers >= 1 or that exceed the largest rule
+    for points in (np.array([0.5, 1.0]), [1.0], 0, -2, 2.5, metrics.MAX_TAU_NODES + 1):
         with pytest.raises(ContractViolation):
-            QuadratureGrid.default(points)
+            QuadratureGrid(points)
+    assert QuadratureGrid(np.int64(3)) == QuadratureGrid(3)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the rule needs only numpy.linalg; numpy.polynomial would add to every import's RSS
+    src = Path(metrics.__file__).resolve().parent.parent
+    code = "import sys, gdscope; print('numpy.polynomial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # --- the rp/dir identity -------------------------------------------------------
@@ -250,33 +268,29 @@ def test_identity_exact_on_quadratics():
         assert verify_identity(cost, theta, eta).residual <= 1e-12
 
 
-def test_identity_tanh_quadratic_quadrature_error_only():
+def test_identity_tanh_quadratic_to_the_rounding_of_rp():
     cost = TanhQuadratic(np.diag([40.0, 2.0]))
     theta, eta = np.array([0.5, 0.5]), 2 / 39
-    res_default = verify_identity(cost, theta, eta).residual
-    assert res_default <= 1e-4
-    # a dense grid pushes the residual to rounding level: what was left was
-    # quadrature error, not a broken identity
-    res_dense = verify_identity(cost, theta, eta, QuadratureGrid.default(100_000)).residual
-    assert res_dense <= 1e-9
+    # the rule's integral agrees with an independent fine trapezoid (5.9e-11 at 1000 steps)
+    assert abs(_integral(cost, theta, eta) - _fine_trapezoid(cost, theta, eta, 2000)) <= 1e-10
+    # what is left, 2.0e-10, is rp's rounding: the 100,000-step trapezoid leaves it too
+    assert verify_identity(cost, theta, eta).residual <= 1e-9
 
 
 def test_identity_mlp_mid_training(mid_training_mlp):
     net, theta = mid_training_mlp
     eta = 2 / 60
-    res = verify_identity(net, theta, eta).residual
-    assert res <= 1e-3
-    res_fine = verify_identity(net, theta, eta, QuadratureGrid.default(400)).residual
-    assert res_fine <= res + 1e-12
+    assert verify_identity(net, theta, eta).residual <= 1e-11  # 3.7e-13
+    assert abs(_integral(net, theta, eta) - _fine_trapezoid(net, theta, eta, 400)) <= 1e-10
 
 
 def test_identity_residual_shrinks_under_refinement():
     cost = SingleNeuron("tanh")
     theta, eta = np.array([2.0, 0.4]), 0.02
-    res50 = verify_identity(cost, theta, eta, QuadratureGrid.default(50)).residual
-    res200 = verify_identity(cost, theta, eta, QuadratureGrid.default(200)).residual
-    assert res200 <= res50 + 1e-12
-    assert res200 <= 1e-3
+    res8 = verify_identity(cost, theta, eta, QuadratureGrid(8)).residual
+    res16 = verify_identity(cost, theta, eta, QuadratureGrid(16)).residual
+    assert res16 <= res8 + 1e-12
+    assert res16 <= 1e-13  # 6.7e-16
 
 
 
@@ -285,23 +299,23 @@ def test_identity_sides_equal_the_standalone_metrics(mid_training_mlp):
     # to relative_progress and a directional_smoothness sweep computed on their own
     net, theta = mid_training_mlp
     eta = 2 / 60
-    for grid in (None, QuadratureGrid.default(37)):
+    for grid in (None, QuadratureGrid(37)):
         check = verify_identity(net, theta, eta, grid)
         assert check.lhs == relative_progress(net, theta, eta)
-        taus = (grid or QuadratureGrid.default()).taus
-        assert check.rhs == -1.0 + 0.5 * eta * metrics._weighted_integral(
-            taus, _sweep(net, theta, eta, taus))
+        rule = grid or QuadratureGrid(metrics.TAU_NODES)
+        assert check.rhs == -1.0 + 0.5 * eta * float(
+            _sweep(net, theta, eta, rule.taus) @ rule.weights)
         assert check.residual == abs(check.lhs - check.rhs)
 
 
 def test_verify_identity_evaluates_each_point_once(mid_training_mlp):
     # theta and theta - eta*g by value_and_gradient each: the second gives rp's loss and
-    # the gradient of the node tau = 1, so the default 100-node grid costs 99 gradients
+    # the gradient of the node tau = 1, so the default grid costs TAU_NODES - 1 gradients
     net, theta = mid_training_mlp
     cost = CountingCost(net)
     check = verify_identity(cost, theta, 2 / 60)
-    assert cost.calls == {"value": 0, "gradient": 99, "value_and_gradient": 2,
-                          "stochastic_gradient": 0}
+    assert cost.calls == {"value": 0, "gradient": metrics.TAU_NODES - 1,
+                          "value_and_gradient": 2, "stochastic_gradient": 0}
     assert check == verify_identity(net, theta, 2 / 60)
 
 # --- single-tau approximation --------------------------------------------------
@@ -312,16 +326,16 @@ def test_rp_approx_residual_zero_on_quadratics():
     rng = np.random.default_rng(12)
     for _ in range(10):
         theta = rng.standard_normal(3)
-        assert verify_identity(cost, theta, 0.05, QuadratureGrid.default(1)).residual <= 1e-12
+        assert verify_identity(cost, theta, 0.05, QuadratureGrid(1)).residual <= 1e-12
 
 
 def test_rp_approx_residual_cubic_oracle():
     cost = Cubic()
     theta, eta = np.array([1.0]), 0.1
-    got = verify_identity(cost, theta, eta, QuadratureGrid.default(1)).residual
+    got = verify_identity(cost, theta, eta, QuadratureGrid(1)).residual
     g = cost.gradient(theta)
     dir_full = directional_smoothness(cost, theta, eta * g)
-    integral = _integral(cost, theta, eta, QuadratureGrid.default(10_000))
+    integral = _fine_trapezoid(cost, theta, eta, 10_000)
     want = abs(0.5 * eta * (dir_full - integral))
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -329,8 +343,8 @@ def test_rp_approx_residual_cubic_oracle():
 def test_rp_approx_residual_bounded_by_tau_spread(mid_training_mlp):
     net, theta = mid_training_mlp
     eta = 0.5
-    res = verify_identity(net, theta, eta, QuadratureGrid.default(1)).residual
-    std = float(np.std(_sweep(net, theta, eta, QuadratureGrid.default().taus)))
+    res = verify_identity(net, theta, eta, QuadratureGrid(1)).residual
+    std = float(np.std(_sweep(net, theta, eta, np.arange(1, 101) / 100)))
     assert res <= std * eta / 2 + 1e-3
 
 
@@ -643,12 +657,12 @@ def test_expected_rp_rhs_quadrature_matches_lhs_under_noise():
     sampler = lambda rng: cost.gradient(theta) + sigma * rng.standard_normal(dim)
     lhs, se1 = expected_rp(cost, theta, eta, 1, 4000, seed=3, grad_sampler=sampler)
     rhs, se2 = expected_rp_rhs(cost, theta, eta, 1, 4000, seed=99,
-                               grid=QuadratureGrid.default(), grad_sampler=sampler)
+                               grid=QuadratureGrid(metrics.TAU_NODES), grad_sampler=sampler)
     assert abs(lhs - rhs) <= 3 * (se1 + se2)
 
 
 def test_expected_rp_rhs_default_is_the_one_node_grid(sgd_net):
-    # grid=None, the grid [1.0] and a per-batch directional_smoothness loop agree bit for bit
+    # grid=None, the one-node grid and a per-batch directional_smoothness loop agree bit for bit
     net, theta = sgd_net
     eta, batch, batches, seed = 0.3, 16, 12, 5
     gnorm = float(np.linalg.norm(net.gradient(theta)))
@@ -661,47 +675,14 @@ def test_expected_rp_rhs_default_is_the_one_node_grid(sgd_net):
             0.5 * eta * float(np.std(weights, ddof=1) / math.sqrt(batches)))
     assert expected_rp_rhs(net, theta, eta, batch, batches, seed) == want
     assert expected_rp_rhs(net, theta, eta, batch, batches, seed,
-                           grid=QuadratureGrid(np.array([1.0]))) == want
+                           grid=QuadratureGrid(1)) == want
 
 
-class CountingCost(CostFunction):
-    """Delegates to ``inner`` and counts every evaluation by entry point.
-
-    ``fused_at`` keeps the points of the ``value_and_gradient`` calls.
-    """
-
-    def __init__(self, inner):
-        self.inner, self.kind, self.dimension = inner, inner.kind, inner.dimension
-        self.calls = dict.fromkeys(
-            ("value", "gradient", "value_and_gradient", "stochastic_gradient"), 0)
-        self.fused_at = []
-
-    @property
-    def num_examples(self):
-        return self.inner.num_examples
-
-    def value(self, theta):
-        self.calls["value"] += 1
-        return self.inner.value(theta)
-
-    def gradient(self, theta):
-        self.calls["gradient"] += 1
-        return self.inner.gradient(theta)
-
-    def value_and_gradient(self, theta):
-        self.calls["value_and_gradient"] += 1
-        self.fused_at.append(np.array(theta))
-        return self.inner.value_and_gradient(theta)
-
-    def stochastic_gradient(self, theta, batch):
-        self.calls["stochastic_gradient"] += 1
-        return self.inner.stochastic_gradient(theta, batch)
-
-
-def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0,),
+def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, grid=None,
                  lhs_only=False):
-    """The two estimators as separate scalar loops: the oracle for the paired draw.
-    With ``lhs_only`` the RHS is not computed and comes back as None."""
+    """The two estimators as separate scalar loops: the oracle for the paired draw, its
+    RHS dir at tau = 1 or, given a ``grid``, that grid's rule over its nodes. With
+    ``lhs_only`` the RHS is not computed and comes back as None."""
     loss, g = cost.value(theta), cost.gradient(theta)
     gnorm = float(np.linalg.norm(g))
     rng = np.random.default_rng(np.uint64(seed))
@@ -717,9 +698,11 @@ def _scalar_pair(cost, theta, eta, batch, batches, seed, sampler=None, taus=(1.0
         lhs.append((cost.value(theta - eta * gb) - loss) / (eta * gnorm**2))
         if lhs_only:
             continue
-        dirs = np.array([directional_smoothness(cost, theta, (eta * tau) * gb) for tau in taus])
-        integral = (dirs[0] if tuple(taus) == (1.0,)
-                    else metrics._weighted_integral(np.asarray(taus), dirs))
+        if grid is None:
+            integral = directional_smoothness(cost, theta, eta * gb)
+        else:
+            integral = np.array([directional_smoothness(cost, theta, (eta * tau) * gb)
+                                 for tau in grid.taus]) @ grid.weights
         weights.append(float(gb @ gb) / gnorm**2 * integral)
 
     def mean_and_stderr(xs):
@@ -762,14 +745,11 @@ def test_expected_rp_views_match_the_scalar_loops(kind):
     assert expected_rp_rhs(*args, grad_sampler=sampler) == rhs
     assert expected_rp(*args, grad_sampler=sampler) == lhs
     assert expected_rp(*args, grad_sampler=sampler) == lhs
-    # a grid with more nodes ends at tau = 1; one ending short of it is refused
-    taus = (0.25, 0.5, 1.0)
-    _, want = _scalar_pair(*args, sampler=sampler, taus=taus)
-    grid = QuadratureGrid(np.array(taus))
+    # a grid with more nodes, whose last node is tau = 1 too
+    grid = QuadratureGrid(3)
+    _, want = _scalar_pair(*args, sampler=sampler, grid=grid)
     assert expected_rp_rhs(*args, grid=grid, grad_sampler=sampler) == want
     assert expected_rp(*args, grad_sampler=sampler) == lhs
-    with pytest.raises(ContractViolation):
-        QuadratureGrid(np.array((0.3, 0.7)))
 
 
 @pytest.mark.parametrize("kw", NETS)
@@ -782,9 +762,8 @@ def test_expected_rp_views_match_the_scalar_loops_on_every_net(kw):
     lhs, rhs = _scalar_pair(*args)
     assert expected_rp(*args) == lhs
     assert expected_rp_rhs(*args) == rhs
-    taus = (0.25, 0.5, 1.0)
-    _, want = _scalar_pair(*args, taus=taus)
-    assert expected_rp_rhs(*args, grid=QuadratureGrid(np.array(taus))) == want
+    _, want = _scalar_pair(*args, grid=QuadratureGrid(3))
+    assert expected_rp_rhs(*args, grid=QuadratureGrid(3)) == want
 
 
 def _counting_stacks(cost):
@@ -832,9 +811,8 @@ def test_the_chunked_draw_matches_the_scalar_loops(sgd_net, batch, batches, chun
     rhs = expected_rp_rhs(cost, *args)
     assert calls == {"stochastic_gradient": 0, "stochastic_gradients": chunks}
     assert (lhs, rhs) == _scalar_pair(net, *args)
-    taus = (0.25, 0.5, 1.0)
-    _, want = _scalar_pair(net, *args, taus=taus)
-    assert expected_rp_rhs(cost, *args, grid=QuadratureGrid(np.array(taus))) == want
+    _, want = _scalar_pair(net, *args, grid=QuadratureGrid(3))
+    assert expected_rp_rhs(cost, *args, grid=QuadratureGrid(3)) == want
 
 
 class ScaledBatches(CostFunction):
@@ -933,7 +911,7 @@ def test_a_checkpoint_pair_draws_and_evaluates_once(sgd_net):
     assert (lhs, rhs) == _scalar_pair(net, theta, 0.3, 16, 160, 4)
     # a wider grid evaluates its extra nodes by gradient, and tau = 1 by the fused call
     cost = CountingCost(net)
-    expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4, grid=QuadratureGrid(np.array([0.5, 1.0])))
+    expected_rp_rhs(cost, theta, 0.3, 16, 160, seed=4, grid=QuadratureGrid(2))
     assert cost.calls == {"value": 0, "gradient": 160, "value_and_gradient": 161,
                           "stochastic_gradient": 160}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdscope import optimizer
+from gdscope.metrics import TAU_NODES
 from gdscope import (
     ContractViolation,
     CostFunction,
@@ -27,6 +28,8 @@ from gdscope import (
     synth_dataset,
     verify_identity,
 )
+
+from conftest import CountingCost
 
 QUIET = MetricFlags(rp=False, dir=False)
 
@@ -139,6 +142,14 @@ def test_metric_flags_refuse_expected_rp_without_rp():
     # expected rp is recorded in the rp column, which rp = False used to fill regardless
     with pytest.raises(ContractViolation, match="needs rp"):
         MetricFlags(rp=False, dir=False, expected_rp=True)
+
+
+def test_gd_run_refuses_expected_rp():
+    # an SGD epoch metric: gd_run ignored the flag and recorded the deterministic rp
+    net = _small_net()
+    with pytest.raises(ContractViolation, match="sgd_run"):
+        gd_run(net, net.init_params(1), OptimizerConfig(eta=0.5, max_iter=3),
+               MetricFlags(expected_rp=True))
 
 
 @pytest.mark.parametrize("make", [
@@ -340,10 +351,12 @@ def test_sgd_records_sharpness_identity_and_tau_sweep():
     for s, theta in zip(traj.samples, traj.iterates):
         assert s.sharpness == sharpness(net, theta)
         assert s.identity_residual == verify_identity(net, theta, 0.3).residual
-        g = net.gradient(theta)
+        # the rule's weighted mean and spread of dir over its nodes
+        g, grid = net.gradient(theta), QuadratureGrid(TAU_NODES)
         dirs = np.array([directional_smoothness(net, theta, (0.3 * tau) * g)
-                         for tau in QuadratureGrid.default().taus])
-        assert (s.tau_dir_mean, s.tau_dir_std) == (float(np.mean(dirs)), float(np.std(dirs)))
+                         for tau in grid.taus])
+        mean = float(dirs @ grid.weights)
+        assert (s.tau_dir_mean, s.tau_dir_std) == (mean, math.sqrt((dirs - mean)**2 @ grid.weights))
 
 
 def test_sgd_long_run_loss_decreases():
@@ -374,6 +387,19 @@ def test_gd_run_takes_a_gradient_norm_that_overflows_unwarned():
     traj = gd_run(Quadratic(np.diag([1.0, 0.0])), [1e160, 1.0], OptimizerConfig(eta=0.1))
     assert traj.outcome == "diverged"
     assert [(s.iteration, s.grad_norm, s.rp) for s in traj.samples] == [(0, math.inf, None)]
+
+
+@pytest.mark.parametrize("flags", [QUIET, MetricFlags(), MetricFlags(tau_sweep=True)],
+                         ids=["quiet", "rp-dir", "tau-sweep"])
+def test_gd_run_takes_a_relu_iterate_whose_logits_overflow_unwarned(flags):
+    # at eta = 1e300 the next iterate's logits overflow in their matmul, and then give
+    # inf - inf; the run ends diverged at t = 1, without a RuntimeWarning (an error here)
+    ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
+    net = MLPCost(ds, hidden_sizes=(6,), activation="relu")
+    traj = gd_run(net, net.init_params(1), OptimizerConfig(eta=1e300, max_iter=10), flags)
+    assert traj.outcome == "diverged"
+    assert [(s.iteration, s.rp, s.dir) for s in traj.samples] == [(0, None, None), (1, None, None)]
+    assert not math.isfinite(traj.samples[-1].loss)
 
 
 def test_sgd_epoch_sample_takes_a_gradient_norm_that_overflows_unwarned():
@@ -429,7 +455,7 @@ class _SkewHvp(Quadratic):
 
 class _SweepFails(Quadratic):
     """An iterate's own evaluation (value_and_gradient) succeeds; any other gradient call
-    fails once 99 have been made, the tau sweep of one sample."""
+    fails once TAU_NODES - 1 have been made, the tau sweep of one sample."""
 
     calls = 0
 
@@ -438,7 +464,7 @@ class _SweepFails(Quadratic):
 
     def gradient(self, theta):
         self.calls += 1
-        if self.calls > 99:
+        if self.calls > TAU_NODES - 1:
             raise FloatingPointError("gradient failed")
         return super().gradient(theta)
 
@@ -546,24 +572,6 @@ def test_gd_rp_dir_match_separate_evaluations(run, cadence):
         assert traj.samples[-1].rp is not None and traj.samples[-1].dir is not None
 
 
-class _CountingNet(MLPCost):
-    """Counts every evaluation of the loss and/or gradient at a theta."""
-
-    evaluations = 0
-
-    def value(self, theta):
-        self.evaluations += 1
-        return super().value(theta)
-
-    def gradient(self, theta):
-        self.evaluations += 1
-        return super().gradient(theta)
-
-    def value_and_gradient(self, theta):
-        self.evaluations += 1
-        return super().value_and_gradient(theta)
-
-
 @pytest.mark.parametrize("flags,cadence,extra", [
     (MetricFlags(rp=True, dir=True), 1, 1),
     (MetricFlags(rp=True, dir=False), 7, 1),
@@ -571,31 +579,40 @@ class _CountingNet(MLPCost):
 ])
 def test_gd_evaluates_once_per_iterate(flags, cadence, extra):
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(6,), activation="tanh")
+    cost = CountingCost(net)
     steps = 30
-    traj = gd_run(net, net.init_params(1),
+    traj = gd_run(cost, net.init_params(1),
                   OptimizerConfig(eta=0.5, max_iter=steps, metric_cadence=cadence), flags)
     assert traj.outcome == "budget_exhausted"
     # one per iterate 0..steps, plus the terminal sample's look-ahead when rp/dir are on
-    assert net.evaluations == steps + 1 + extra
+    assert cost.calls == {"value": 0, "gradient": 0, "value_and_gradient": steps + 1 + extra,
+                          "stochastic_gradient": 0}
 
 
 @pytest.mark.parametrize("rp_dir", [True, False])
 @pytest.mark.parametrize("algorithm", ["gd", "sgd"])
 def test_identity_residual_from_the_next_iterate_matches_verify_identity(algorithm, rp_dir):
     ds = synth_dataset(SynthSpec(n=32, d=4, classes=2, cluster_spread=0.5, seed=2))
-    net = _CountingNet(ds, hidden_sizes=(6,), activation="tanh")
+    net = MLPCost(ds, hidden_sizes=(6,), activation="tanh")
+    cost = CountingCost(net)
     flags = MetricFlags(rp=rp_dir, dir=rp_dir, tau_sweep=True)
     config = OptimizerConfig(eta=0.5, max_iter=12, metric_cadence=4, batch_size=8)
     if algorithm == "gd":
-        traj = gd_run(net, net.init_params(1), config, flags, record_iterates=True)
+        traj = gd_run(cost, net.init_params(1), config, flags, record_iterates=True)
         thetas = [traj.iterates[s.iteration] for s in traj.samples]
+        # 13 iterates and the terminal sample's look-ahead; 4 samples
+        calls = {"value_and_gradient": 13 + 1, "gradient": 4 * (TAU_NODES - 1),
+                 "stochastic_gradient": 0}
     else:
-        traj = sgd_run(net, net.init_params(1), config, flags, record_checkpoints=True)
+        traj = sgd_run(cost, net.init_params(1), config, flags, record_checkpoints=True)
         thetas = traj.iterates
-    # the same count with rp and dir off: the sweep alone owes the look-ahead, whose
-    # gradient is its last node, so each sample adds 99 gradients for the 100-node grid
-    assert net.evaluations == (13 + 1 + 4 * 99 if algorithm == "gd" else 13 * 2 + 13 * 99)
+        # 13 checkpoints, each with its look-ahead; 12 epochs of 4 minibatches
+        calls = {"value_and_gradient": 13 * 2, "gradient": 13 * (TAU_NODES - 1),
+                 "stochastic_gradient": 12 * 4}
+    # the same counts with rp and dir off: the sweep alone owes the look-ahead, whose
+    # gradient is its last node, so each sample adds TAU_NODES - 1 gradients
+    assert cost.calls == {"value": 0, **calls}
     assert len(traj.samples) == (4 if algorithm == "gd" else 13)
     for s, theta in zip(traj.samples, thetas, strict=True):
         assert s.identity_residual == verify_identity(net, theta, 0.5).residual
@@ -628,9 +645,10 @@ def test_the_accuracy_stop_rule_runs_no_forward_pass_of_its_own(
         # per epoch: one minibatch gradient and the epoch sample's evaluation
         evaluations = 1 + 2 * (len(traj.samples) - 1)
     if sweep:
-        # 99 gradients a sample, and the look-ahead of GD's terminal sample, or of each
-        # SGD sample, whose gradient is the sweep's last node
-        evaluations += 99 * len(traj.samples) + (1 if algorithm == "gd" else len(traj.samples))
+        # TAU_NODES - 1 gradients a sample, and the look-ahead of GD's terminal sample, or
+        # of each SGD sample, whose gradient is the sweep's last node
+        evaluations += ((TAU_NODES - 1) * len(traj.samples)
+                        + (1 if algorithm == "gd" else len(traj.samples)))
     assert traj.outcome == outcome
     assert len(accuracies) == len(traj.samples)
     assert len(forwards) == evaluations

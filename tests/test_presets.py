@@ -63,8 +63,7 @@ def test_sgd_relu_expected_rp_goes_positive_while_the_loss_falls():
 
 
 def test_tau_grid_holds_the_identity_at_every_sample():
-    # along an unstable network run; perturbed starts read at most 2.3e-5, and a rule
-    # that drops the extrapolated tau = 0 node reads 1.9e-4, within rp-dir-identity's
-    # 1e-3 for non-quadratic costs
+    # along an unstable network run: the shipped start reads at most 1.4e-11, ten
+    # perturbed starts at most 2.2e-7, and the 100-node trapezoid 9.8e-6
     residuals = [s.identity_residual for s in _run("tau-grid").samples]
-    assert None not in residuals and max(residuals) <= 1e-4
+    assert None not in residuals and max(residuals) <= 1e-6
